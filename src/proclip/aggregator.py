@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .autodiff import mean, reshape, softmax, transpose, value
+from .autodiff import asum, mean, reshape, softmax, transpose, value
 from .rng import CounterRng
 
 
@@ -27,20 +27,20 @@ def init_aggregator_params(rng: CounterRng, d: int) -> dict:
 
 def weight_frames(clip_frames_selected, alpha):
     """Scale row k by alpha_k."""
-    if value(clip_frames_selected).shape[0] != value(alpha).shape[0]:
+    if value(clip_frames_selected).shape[:-1] != value(alpha).shape:
         raise ValueError("alpha length does not match frame count")
-    return clip_frames_selected * reshape(alpha, (-1, 1))
+    return clip_frames_selected * reshape(alpha, value(alpha).shape + (1,))
 
 
 def aggregate_video(weighted, params, return_weights=False):
     """Attention over LayerNormed rows, mean pool, unit-normalize."""
-    d = value(weighted).shape[1]
+    d = value(weighted).shape[-1]
     h = nn.layer_norm(weighted, params["ln_g"], params["ln_b"])
     q = nn.affine(h, params["wq"], params["bq"])
     k = h @ params["wk"]
     attn = softmax((q @ transpose(k)) * (1.0 / np.sqrt(d)), axis=-1)
     out = attn @ h
-    v = nn.unit_normalize(mean(out, axis=0))
+    v = nn.unit_normalize(mean(out, axis=-2))
     if return_weights:
         return v, attn
     return v
@@ -48,7 +48,6 @@ def aggregate_video(weighted, params, return_weights=False):
 
 def cosine_similarity(v, t):
     nv, nt = nn.vec_norm(v), nn.vec_norm(t)
-    if float(value(nv)) == 0.0 or float(value(nt)) == 0.0:
+    if (value(nv) == 0.0).any() or (value(nt) == 0.0).any():
         raise ValueError("cosine similarity of zero vector")
-    from .autodiff import asum
-    return asum(v * t) / (nv * nt)
+    return asum(v * t, axis=-1) / (nv * nt)

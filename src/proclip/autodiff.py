@@ -15,6 +15,8 @@ import numpy as np
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient g down to `shape` (inverse of numpy broadcasting)."""
     g = np.asarray(g)
+    if g.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for i, s in enumerate(shape):
@@ -124,27 +126,25 @@ class Tensor:
     def __matmul__(self, other):
         o = self._coerce(other)
         a, b = self.data, o.data
-        out = a @ b
+        # a vector operand acts as a 1 x n (left) or n x 1 (right) matrix;
+        # leading batch axes broadcast and their gradients are summed back
+        a2 = a[None, :] if a.ndim == 1 else a
+        b2 = b[:, None] if b.ndim == 1 else b
+
+        def as_matrix(g):
+            if b.ndim == 1:
+                g = np.expand_dims(g, -1)
+            if a.ndim == 1:
+                g = np.expand_dims(g, -2)
+            return g
 
         def da(g):
-            if a.ndim == 1 and b.ndim == 1:
-                return g * b
-            if a.ndim == 1:          # (n,) @ (n,p) -> (p,)
-                return b @ g
-            if b.ndim == 1:          # (m,n) @ (n,) -> (m,)
-                return np.outer(g, b)
-            return g @ b.T
+            return _unbroadcast(as_matrix(g) @ b2.swapaxes(-1, -2), a2.shape).reshape(a.shape)
 
         def db(g):
-            if a.ndim == 1 and b.ndim == 1:
-                return g * a
-            if a.ndim == 1:
-                return np.outer(a, g)
-            if b.ndim == 1:
-                return a.T @ g
-            return a.T @ g
+            return _unbroadcast(a2.swapaxes(-1, -2) @ as_matrix(g), b2.shape).reshape(b.shape)
 
-        return Tensor(out, (self, o), (da, db))
+        return Tensor(a @ b, (self, o), (da, db))
 
     def __rmatmul__(self, other):
         return self._coerce(other).__matmul__(self)
@@ -257,9 +257,10 @@ def mean(x, axis=None, keepdims=False):
 
 
 def transpose(x):
+    """Swap the last two axes (the matrix transpose of each batch item)."""
     if isinstance(x, Tensor):
-        return Tensor(x.data.T, (x,), (lambda g: np.asarray(g).T,))
-    return np.asarray(x).T
+        return Tensor(x.data.swapaxes(-1, -2), (x,), (lambda g: np.asarray(g).swapaxes(-1, -2),))
+    return np.asarray(x).swapaxes(-1, -2)
 
 
 def reshape(x, shape):

@@ -11,10 +11,8 @@ ranking and mean rank is always defined.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +25,14 @@ from .model import ModelParams, model_hash
 INDEX_MAGIC = b"PCLX"
 INDEX_VERSION = 1
 
+# frame rows per batched stage-2 pass; the cap bounds a block's temporaries
+STAGE2_BLOCK_ROWS = 384
+
 
 @dataclass
 class RetrievalConfig:
     k_percent: float = 50.0
     k_frames: int = 12
-    parallel: bool = False
 
 
 @dataclass
@@ -42,6 +42,10 @@ class RetrievalIndex:
     contexts: dict          # video id -> N x D float32 frame context
     distilled: dict         # video id -> D float32 unit embedding
     build_stats: dict = field(default_factory=dict)
+    videos: dict = field(init=False, repr=False)  # video id -> VideoRecord
+
+    def __post_init__(self):
+        self.videos = {v.id: v for v in self.corpus.videos}
 
 
 @dataclass
@@ -72,17 +76,6 @@ class LatencyReport:
     stage2_count: int
 
 
-def _max_workers() -> int:
-    cap = os.environ.get("PROCLIP_THREADS")
-    n = os.cpu_count() or 1
-    if cap:
-        try:
-            n = max(1, min(n, int(cap)))
-        except ValueError:
-            pass
-    return n
-
-
 def index_corpus(corpus: CorpusBundle, model: ModelParams) -> RetrievalIndex:
     d_v, d = model.dims
     if corpus.dims["D_v"] != d_v or corpus.dims["D"] != d:
@@ -101,19 +94,25 @@ def index_corpus(corpus: CorpusBundle, model: ModelParams) -> RetrievalIndex:
                           build_stats={"n_videos": len(corpus.videos)})
 
 
-def stage2_score(query: QueryRecord, video: VideoRecord, context: np.ndarray,
-                 model: ModelParams, k_frames: int) -> tuple[float, int]:
-    """Fine score for one candidate; returns (score, frames aggregated)."""
+def stage2_score(query: QueryRecord, video: VideoRecord | list[VideoRecord],
+                 context: np.ndarray, model: ModelParams, k_frames: int):
+    """Fine score and frames aggregated for one candidate, or per-candidate
+    arrays for a list of videos of one frame count with stacked C x N x D contexts."""
     rows = context.astype(np.float64)
     words = query.words.astype(np.float64)
     sentence = query.sentence.astype(np.float64)
+    block = isinstance(video, list)
+    clips = np.stack([v.clip_frames for v in video]) if block else video.clip_frames
     fusion = prompt.prompt_fusion(words, sentence, rows, model.gate)
     scores = sampler.frame_scores(rows, fusion.y, model.scorer)
-    sel = sampler.topk_infer(scores, min(k_frames, rows.shape[0]))
-    clip_sel = video.clip_frames[sel.indices].astype(np.float64)
+    sel = sampler.topk_infer(scores, min(k_frames, rows.shape[-2]))
+    clip_sel = np.take_along_axis(clips, sel.indices[..., None], axis=-2).astype(np.float64)
     weighted = aggregator.weight_frames(clip_sel, sel.alpha)
     v_emb = aggregator.aggregate_video(weighted, model.aggregator)
-    return float(aggregator.cosine_similarity(v_emb, sentence)), len(sel.indices)
+    sim = aggregator.cosine_similarity(v_emb, sentence)
+    if block:
+        return sim, np.full(len(video), sel.indices.shape[-1])
+    return float(sim), len(sel.indices)
 
 
 def retrieve(query: QueryRecord, index: RetrievalIndex,
@@ -121,6 +120,8 @@ def retrieve(query: QueryRecord, index: RetrievalIndex,
     config = config or RetrievalConfig()
     if query.sentence.shape[0] != index.model.dims[1]:
         raise ValueError("query dim does not match index")
+    if not (np.isfinite(query.sentence).all() and np.isfinite(query.words).all()):
+        raise ValueError("query embedding holds NaN or inf")
     if not 0.0 < config.k_percent <= 100.0:
         raise ValueError("k_percent must lie in (0, 100]")
     t0 = time.perf_counter()
@@ -131,21 +132,22 @@ def retrieve(query: QueryRecord, index: RetrievalIndex,
     stage1_scores = dict(zip(full.video_ids, full.coarse_scores.tolist()))
     t1 = time.perf_counter()
 
-    by_id = {v.id: v for v in index.corpus.videos}
-
-    def score_one(vid):
-        return stage2_score(query, by_id[vid], index.contexts[vid],
-                            index.model, config.k_frames)
-
-    if config.parallel and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-            results = list(pool.map(score_one, candidates))
-    else:
-        results = [score_one(vid) for vid in candidates]
+    by_frames: dict = {}
+    for vid in candidates:
+        by_frames.setdefault(index.contexts[vid].shape[0], []).append(vid)
+    stage2_scores, frames_aggregated = {}, 0
+    for n, ids in by_frames.items():
+        step = max(1, STAGE2_BLOCK_ROWS // n)
+        for start in range(0, len(ids), step):
+            block = ids[start:start + step]
+            scores, frames = stage2_score(
+                query, [index.videos[vid] for vid in block],
+                np.stack([index.contexts[vid] for vid in block]),
+                index.model, config.k_frames)
+            stage2_scores.update(zip(block, scores.tolist()))
+            frames_aggregated += int(frames.sum())
     t2 = time.perf_counter()
 
-    stage2_scores = {vid: s for vid, (s, _) in zip(candidates, results)}
-    frames_aggregated = sum(nf for _, nf in results)
     ranked = sorted(candidates, key=lambda vid: (-stage2_scores[vid], vid))
     pruned_out = full.video_ids[keep:]  # already descending stage-1, ties by id
     return RankedList(
@@ -178,7 +180,7 @@ def evaluate(queries: list[QueryRecord], index: RetrievalIndex,
 
 
 def bench(corpus: CorpusBundle, model: ModelParams, k_percents: list[float],
-          rounds: int = 10, k_frames: int = 12, parallel: bool = False) -> list[LatencyReport]:
+          rounds: int = 10, k_frames: int = 12) -> list[LatencyReport]:
     """Latency sweep over computation ratios.
 
     Cold (FQ) latency rebuilds the index per ratio.  Warm (AQ) rounds are
@@ -188,7 +190,7 @@ def bench(corpus: CorpusBundle, model: ModelParams, k_percents: list[float],
     queries = corpus.queries
     configs, indexes, fq, counts = {}, {}, {}, {}
     for k in k_percents:
-        configs[k] = RetrievalConfig(k_percent=k, k_frames=k_frames, parallel=parallel)
+        configs[k] = RetrievalConfig(k_percent=k, k_frames=k_frames)
         t0 = time.perf_counter()
         indexes[k] = index_corpus(corpus, model)
         first = retrieve(queries[0], indexes[k], configs[k])

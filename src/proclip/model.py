@@ -90,7 +90,9 @@ def _insert(tree: dict, parts: list[str], arr: np.ndarray) -> None:
 def unflatten_params(flat: dict) -> ModelParams:
     groups: dict = {g: {} for g in GROUPS}
     for name, arr in flat.items():
-        group, rest = name.split(".", 1)
+        group, _, rest = name.partition(".")
+        if group not in groups or not rest:
+            raise CorpusFormatError("unknown-parameter", f"no parameter group for {name!r}")
         _insert(groups[group], rest.split("."), arr)
     return ModelParams(**groups)
 

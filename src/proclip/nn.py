@@ -99,12 +99,12 @@ def mlp2(x, w1, b1, w2, b2):
     return affine(relu(affine(x, w1, b1)), w2, b2)
 
 
-def vec_norm(x):
-    return sqrt(asum(x * x))
+def vec_norm(x, keepdims=False):
+    return sqrt(asum(x * x, axis=-1, keepdims=keepdims))
 
 
 def unit_normalize(x):
-    return x / vec_norm(x)
+    return x / vec_norm(x, keepdims=True)
 
 
 # -- initialization ------------------------------------------------------

@@ -3,7 +3,8 @@
 Word-level attention averages per-token softmax weights into per-frame
 scores; sentence-level attention softmaxes a single query over frames.
 Both reweight the frame rows, and a learned sigmoid gate mixes the two
-reweighted streams frame by frame.
+reweighted streams frame by frame.  Frames may carry leading batch axes
+(C x N x D for C candidates); the query is shared by the whole batch.
 """
 
 from __future__ import annotations
@@ -49,19 +50,19 @@ def word_cross_attention(words, frames):
     mean attention the frame receives across words.
     """
     _check_dims(words, frames, "word attention")
-    d = value(frames).shape[1]
+    d = value(frames).shape[-1]
     attn = softmax((words @ transpose(frames)) * (1.0 / np.sqrt(d)), axis=-1)
-    scores = mean(attn, axis=0)
-    w_o = frames * reshape(scores, (-1, 1))
+    scores = mean(attn, axis=-2)
+    w_o = frames * reshape(scores, value(scores).shape + (1,))
     return scores, w_o
 
 
 def sentence_cross_attention(sentence, frames):
     """Returns (scores: N softmax over frames, reweighted frames S_o)."""
     _check_dims(sentence, frames, "sentence attention")
-    d = value(frames).shape[1]
+    d = value(frames).shape[-1]
     scores = softmax((frames @ sentence) * (1.0 / np.sqrt(d)), axis=-1)
-    s_o = frames * reshape(scores, (-1, 1))
+    s_o = frames * reshape(scores, value(scores).shape + (1,))
     return scores, s_o
 
 
@@ -69,11 +70,11 @@ def gated_fusion(w_o, s_o, params):
     """Mix the two streams: y = g * W_o + (1 - g) * S_o, g = sigmoid MLP."""
     if value(w_o).shape != value(s_o).shape:
         raise ValueError("gated fusion inputs must share shape")
-    x = concat([w_o, s_o], axis=1)
+    x = concat([w_o, s_o], axis=-1)
     h = nn.relu(x @ transpose(params["w1"]) + params["b1"])
     g = sigmoid(h @ transpose(params["w2"]) + params["b2"])  # N x 1
     y = g * w_o + (1.0 - g) * s_o
-    return y, reshape(g, (-1,))
+    return y, reshape(g, value(g).shape[:-1])
 
 
 def prompt_fusion(words, sentence, frames, params) -> FusionOutput:

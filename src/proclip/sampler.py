@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .autodiff import detach, is_tensor, softmax, value
+from .autodiff import detach, is_tensor, reshape, sigmoid, softmax, value
 from .rng import CounterRng
 
 TAU_INITIAL = 5.0
@@ -23,9 +23,8 @@ SUPPRESS = 1e9
 
 @dataclass
 class SelectedFrames:
-    indices: np.ndarray   # K ascending frame indices
-    alpha: np.ndarray     # K positive weights, sum 1
-    scores_all: np.ndarray  # N final frame scores
+    indices: np.ndarray   # ... x K ascending frame indices
+    alpha: np.ndarray     # ... x K positive weights, sum 1
 
 
 @dataclass
@@ -51,26 +50,26 @@ def frame_scores(frames, y, params):
     """score_j = logit(frames_j) * sigmoid(relevance(y_j))."""
     if value(frames).shape != value(y).shape:
         raise ValueError("frames and fused features must share shape")
-    from .autodiff import reshape, sigmoid
+    lead = value(frames).shape[:-1]
     logits = reshape(nn.mlp2(frames, params["f_w1"], params["f_b1"],
-                             params["f_w2"], params["f_b2"]), (-1,))
+                             params["f_w2"], params["f_b2"]), lead)
     relevance = sigmoid(reshape(nn.mlp2(y, params["y_w1"], params["y_b1"],
-                                        params["y_w2"], params["y_b2"]), (-1,)))
+                                        params["y_w2"], params["y_b2"]), lead))
     return logits * relevance
 
 
 def topk_infer(scores: np.ndarray, k: int) -> SelectedFrames:
-    """Exact top-k; ties go to the lower index; alpha = softmax of the
-    selected scores, aligned with the ascending index order."""
+    """Exact top-k over the last axis; ties go to the lower index; alpha =
+    softmax of the selected scores, aligned with the ascending index order."""
     scores = np.asarray(value(scores), dtype=np.float64)
-    n = scores.shape[0]
+    n = scores.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} frames")
-    order = np.argsort(-scores, kind="stable")  # stable: ties keep low index first
-    indices = np.sort(order[:k])
-    sel = scores[indices]
+    order = np.argsort(-scores, axis=-1, kind="stable")  # stable: ties keep low index first
+    indices = np.sort(order[..., :k], axis=-1)
+    sel = np.take_along_axis(scores, indices, axis=-1)
     alpha = softmax(sel)
-    return SelectedFrames(indices=indices, alpha=alpha, scores_all=scores)
+    return SelectedFrames(indices=indices, alpha=alpha)
 
 
 def hard_topk_train(scores, k: int, temperature: float) -> SoftSelection:

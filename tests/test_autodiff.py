@@ -61,6 +61,22 @@ def test_matmul_grads_all_shape_cases():
     check_grad(lambda a: ad.asum(m @ a), np.copy(v))
 
 
+def test_batched_matmul_grads():
+    x = RNG.normal(24).reshape(2, 3, 4)   # two stacked 3 x 4 operands
+    y = RNG.normal(40).reshape(2, 4, 5)
+    w = RNG.normal_matrix(4, 5)
+    m = RNG.normal_matrix(3, 4)
+    v = RNG.normal(4)
+    check_grad(lambda a: ad.asum((a @ w) ** 2), x, tol=1e-5)   # 3-D @ 2-D
+    check_grad(lambda a: ad.asum((x @ a) ** 2), w, tol=1e-5)   # shared right operand
+    check_grad(lambda a: ad.asum((a @ y) ** 2), x, tol=1e-5)   # 3-D @ 3-D
+    check_grad(lambda a: ad.asum((x @ a) ** 2), y, tol=1e-5)
+    check_grad(lambda a: ad.asum((a @ y) ** 2), m, tol=1e-5)   # shared left operand
+    check_grad(lambda a: ad.asum((a @ v) ** 2), x, tol=1e-5)   # 3-D @ vector
+    check_grad(lambda a: ad.asum((x @ a) ** 2), np.copy(v), tol=1e-5)
+    check_grad(lambda a: ad.asum((a @ x) ** 2), np.copy(RNG.normal(3)), tol=1e-5)
+
+
 def test_getitem_scatter_grad():
     x = RNG.normal(6)
     idx = np.array([0, 2, 2, 5])  # repeated index must accumulate
@@ -97,6 +113,9 @@ def test_shape_op_grads():
     x = RNG.normal_matrix(2, 6)
     w = RNG.normal_matrix(3, 4)
     check_grad(lambda a: ad.asum(ad.reshape(ad.transpose(a), (3, 4)) * w), x)
+    x3 = RNG.normal(24).reshape(2, 3, 4)
+    assert ad.transpose(x3).shape == (2, 4, 3)
+    check_grad(lambda a: ad.asum((ad.transpose(a) @ x3) ** 2), x3, tol=1e-5)
 
 
 def test_concat_and_stack_rows_grads():

@@ -163,6 +163,9 @@ def test_query_flag_validation(tmp_path, capsys):
     np.zeros(3, dtype="<f4").tofile(emb)
     assert run_cli(base + ["--embedding", str(emb)]) == 4
     capsys.readouterr()
+    np.full(8, np.nan, dtype="<f4").tofile(emb)
+    assert run_cli(base + ["--embedding", str(emb)]) == 4
+    assert "code=invalid-input" in capsys.readouterr().err
 
 
 def test_bench_csv_structure(tmp_path, capsys):
@@ -195,3 +198,11 @@ def test_model_corpus_dimension_mismatch_exits_three(tmp_path, capsys):
     assert run_cli(["eval", "--corpus", str(corpus_path),
                     "--model", str(ckpt)]) == 3
     assert "dimension-mismatch" in capsys.readouterr().err
+
+
+def test_unknown_checkpoint_group_exits_three(tmp_path, capsys):
+    corpus_path = _synth(tmp_path)
+    ckpt = _checkpoint(tmp_path, corpus_path)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"gate.w1", b"fooo.w1"))
+    assert run_cli(["eval", "--corpus", str(corpus_path), "--model", str(ckpt)]) == 3
+    assert "code=unknown-parameter" in capsys.readouterr().err

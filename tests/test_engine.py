@@ -82,14 +82,40 @@ def test_retrieve_validates_inputs(small_corpus, index):
         engine.retrieve(short, index)
 
 
-def test_parallel_retrieval_matches_serial(small_corpus, index, monkeypatch):
-    monkeypatch.setenv("PROCLIP_THREADS", "2")
-    q = small_corpus.queries[2]
-    serial = engine.retrieve(q, index, engine.RetrievalConfig(k_percent=80.0))
-    parallel = engine.retrieve(q, index,
-                               engine.RetrievalConfig(k_percent=80.0, parallel=True))
-    assert serial.video_ids == parallel.video_ids
-    assert serial.stage2_scores == parallel.stage2_scores
+@pytest.fixture(scope="module")
+def mixed_index():
+    corpus = synth_corpus(SynthSpec(n_videos=60, n_queries=3, frames_per_video=(8, 12),
+                                    d_v=8, d=16, seed=5))
+    return engine.index_corpus(corpus, init_model_params(2, 8, 16))
+
+
+@pytest.mark.parametrize("block_rows", [engine.STAGE2_BLOCK_ROWS, 40, 10])
+def test_batched_retrieval_matches_per_candidate_loop(mixed_index, block_rows,
+                                                      monkeypatch):
+    monkeypatch.setattr(engine, "STAGE2_BLOCK_ROWS", block_rows)
+    counts = np.bincount([c.shape[0] for c in mixed_index.contexts.values()])
+    if block_rows == 40:  # some frame count fills a block and leaves a partial one
+        assert any(c > 40 // n and c % (40 // n) for n, c in enumerate(counts) if n)
+    for q in mixed_index.corpus.queries:
+        ranked = engine.retrieve(q, mixed_index, engine.RetrievalConfig(k_percent=100.0))
+        loop = {vid: engine.stage2_score(q, mixed_index.videos[vid], ctx,
+                                         mixed_index.model, 12)
+                for vid, ctx in mixed_index.contexts.items()}
+        assert ranked.video_ids == sorted(loop, key=lambda v: (-loop[v][0], v))
+        assert set(ranked.stage2_scores) == set(loop)
+        for vid, (score, _) in loop.items():
+            assert abs(ranked.stage2_scores[vid] - score) <= 1e-12
+        assert ranked.counters["frames_aggregated"] == sum(n for _, n in loop.values())
+
+
+def test_retrieve_rejects_non_finite_query(small_corpus, index):
+    import copy
+    for field, pos in (("sentence", 0), ("words", (0, 1))):
+        for bad in (np.nan, np.inf):
+            q = copy.deepcopy(small_corpus.queries[0])
+            getattr(q, field)[pos] = bad
+            with pytest.raises(ValueError):
+                engine.retrieve(q, index)
 
 
 def test_evaluate_matches_brute_force_recomputation(small_corpus, index):

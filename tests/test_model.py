@@ -83,3 +83,9 @@ def test_checkpoint_error_codes(tmp_path):
 
     bad.write_bytes(raw + b"\x00" * 4)
     _expect_code(bad, "dimension-mismatch")
+
+    # a renamed parameter must name a known group (same length keeps the framing)
+    for renamed in (b"fooo.w1", b"gate_w1"):
+        assert raw.count(b"gate.w1") == 1
+        bad.write_bytes(raw.replace(b"gate.w1", renamed))
+        _expect_code(bad, "unknown-parameter")

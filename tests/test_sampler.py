@@ -75,6 +75,18 @@ def test_topk_ties_prefer_lower_index():
     assert np.allclose(sel.alpha, [0.5, 0.5])
 
 
+def test_topk_batch_matches_row_by_row():
+    scores = np.array([[0.3, 0.3, 0.3, 0.3, 0.3],
+                       [0.1, 0.9, 0.5, 0.9, -2.0],
+                       [0.7, -1.0, 0.7, 0.2, 0.7]])
+    for k in (1, 2, 3, 5):
+        batch = sampler.topk_infer(scores, k)
+        for row, s in enumerate(scores):
+            one = sampler.topk_infer(s, k)
+            assert batch.indices[row].tolist() == one.indices.tolist()
+            assert batch.alpha[row].tobytes() == one.alpha.tobytes()
+
+
 def test_topk_full_selection():
     scores = np.array([0.2, -1.0, 0.7])
     sel = sampler.topk_infer(scores, 3)
