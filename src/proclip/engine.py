@@ -43,9 +43,12 @@ class RetrievalIndex:
     distilled: dict         # video id -> D float32 unit embedding
     build_stats: dict = field(default_factory=dict)
     videos: dict = field(init=False, repr=False)  # video id -> VideoRecord
+    # `distilled` packed for stage 1; the index is not mutated after construction
+    packed: pruner.PackedEmbeddings = field(init=False, repr=False)
 
     def __post_init__(self):
         self.videos = {v.id: v for v in self.corpus.videos}
+        self.packed = pruner.PackedEmbeddings.pack(self.distilled)
 
 
 @dataclass
@@ -125,7 +128,7 @@ def retrieve(query: QueryRecord, index: RetrievalIndex,
     if not 0.0 < config.k_percent <= 100.0:
         raise ValueError("k_percent must lie in (0, 100]")
     t0 = time.perf_counter()
-    full = pruner.prune_candidates(query.sentence, index.distilled, 100.0)
+    full = pruner.prune_candidates(query.sentence, index.packed, 100.0)
     m = len(full.video_ids)
     keep = int(math.ceil(config.k_percent / 100.0 * m))
     candidates = full.video_ids[:keep]
@@ -274,14 +277,25 @@ def load_index(path: str, corpus: CorpusBundle, model: ModelParams) -> Retrieval
     if stored_hash != model_hash(model):
         raise CorpusFormatError("model-mismatch", "index built from different model")
     m, d = struct.unpack("<II", take(8))
-    contexts, distilled = {}, {}
+    if d != model.dims[1]:
+        raise CorpusFormatError("dimension-mismatch",
+                                f"index width {d}, model width {model.dims[1]}")
+    ids, contexts, distilled = [], {}, {}
     for _ in range(m):
         (nlen,) = struct.unpack("<H", take(2))
         vid = take(nlen).decode("utf-8")
+        ids.append(vid)
         (n,) = struct.unpack("<I", take(4))
         distilled[vid] = np.frombuffer(take(4 * d), dtype="<f4").copy()
         contexts[vid] = np.frombuffer(take(4 * n * d), dtype="<f4").reshape(n, d).copy()
     if pos != len(buf):
         raise CorpusFormatError("dimension-mismatch", "trailing bytes in index")
+    if sorted(ids) != sorted(v.id for v in corpus.videos):
+        raise CorpusFormatError("dimension-mismatch", "index video ids do not match the corpus")
+    for v in corpus.videos:
+        if contexts[v.id].shape[0] != v.raw_frames.shape[0]:
+            raise CorpusFormatError("dimension-mismatch",
+                                    f"index holds {contexts[v.id].shape[0]} frames for {v.id}, "
+                                    f"corpus {v.raw_frames.shape[0]}")
     return RetrievalIndex(corpus=corpus, model=model, contexts=contexts,
                           distilled=distilled, build_stats={"n_videos": m})

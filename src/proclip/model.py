@@ -37,15 +37,25 @@ class ModelParams:
 
 
 def init_model_params(seed: int, d_v: int, d: int, scorer_hidden: int | None = None) -> ModelParams:
-    rng = CounterRng(seed)
+    return _init_params(CounterRng(seed), d_v, d, scorer_hidden or d)
+
+
+def _init_params(rng, d_v: int, d: int, scorer_hidden: int) -> ModelParams:
     return ModelParams(
         encoder=encoder.init_encoder_params(rng, d_v, d),
         gate=prompt.init_gate_params(rng, d),
-        scorer=sampler.init_scorer_params(rng, d, scorer_hidden or d),
+        scorer=sampler.init_scorer_params(rng, d, scorer_hidden),
         aggregator=aggregator.init_aggregator_params(rng, d),
         distill=pruner.init_distill_params(rng, d),
         logit_scale={"log_scale": np.zeros(())},
     )
+
+
+class _ShapeOnlyRng:
+    """Stands in for CounterRng where only the parameter shapes matter."""
+
+    def uniform_range(self, n: int, lo: float, hi: float) -> np.ndarray:
+        return np.zeros(n)
 
 
 # -- flatten / rebuild ---------------------------------------------------
@@ -87,12 +97,40 @@ def _insert(tree: dict, parts: list[str], arr: np.ndarray) -> None:
         _insert(tree.setdefault(head, {}), parts[1:], arr)
 
 
+def _stored_shape(arr) -> tuple:
+    """Shape as a checkpoint stores it: a scalar is written as one element."""
+    return np.shape(arr) or (1,)
+
+
+def _expected_shapes(flat: dict) -> dict:
+    """Name -> stored shape of every parameter of the model whose dims `flat` holds."""
+    for name in ("encoder.proj_w", "scorer.f_w1"):
+        if name not in flat:
+            raise CorpusFormatError("unknown-parameter", f"missing parameter {name!r}")
+        if np.ndim(flat[name]) != 2:
+            raise CorpusFormatError("dimension-mismatch", f"{name} is not a matrix")
+    d_v, d = np.shape(flat["encoder.proj_w"])
+    hidden = np.shape(flat["scorer.f_w1"])[1]
+    if min(d_v, d, hidden) < 1 or d % pruner.DISTILL_HEADS:
+        raise CorpusFormatError("dimension-mismatch",
+                                f"unusable dims D_v={d_v} D={d} hidden={hidden}")
+    template = _init_params(_ShapeOnlyRng(), d_v, d, hidden)
+    return {name: _stored_shape(arr) for name, arr in flatten_params(template).items()}
+
+
 def unflatten_params(flat: dict) -> ModelParams:
+    expected = _expected_shapes(flat)
+    if flat.keys() != expected.keys():
+        names = sorted(flat.keys() ^ expected.keys())
+        raise CorpusFormatError("unknown-parameter",
+                                f"missing or unexpected parameters {names[:4]}")
+    for name, shape in expected.items():
+        if _stored_shape(flat[name]) != shape:
+            raise CorpusFormatError("dimension-mismatch",
+                                    f"{name} has shape {np.shape(flat[name])}, expected {shape}")
     groups: dict = {g: {} for g in GROUPS}
     for name, arr in flat.items():
         group, _, rest = name.partition(".")
-        if group not in groups or not rest:
-            raise CorpusFormatError("unknown-parameter", f"no parameter group for {name!r}")
         _insert(groups[group], rest.split("."), arr)
     return ModelParams(**groups)
 

@@ -62,22 +62,44 @@ def mse_distill_loss(student, teacher):
     return sq
 
 
-def prune_candidates(query_sentence: np.ndarray, distilled: dict, k_percent: float) -> CandidateSet:
-    """Keep the ceil(k% * M) videos with highest cosine(distilled, sentence)."""
+@dataclass(frozen=True)
+class PackedEmbeddings:
+    """Stage-1 layout of an id -> embedding mapping, built once per index:
+    the ids ascending, their rows stacked as one float64 matrix, and the
+    row norms, so a query costs one mat-vec and one sort."""
+    ids: np.ndarray     # object array of ids, ascending
+    matrix: np.ndarray  # M x D float64, row i is ids[i]'s embedding
+    norms: np.ndarray   # M, L2 norm of each row
+
+    @classmethod
+    def pack(cls, embeddings: dict) -> "PackedEmbeddings":
+        ids = sorted(embeddings)
+        matrix = (np.stack([embeddings[i] for i in ids], dtype=np.float64)
+                  if ids else np.empty((0, 0)))
+        return cls(np.array(ids, dtype=object), matrix,
+                   np.linalg.norm(matrix, axis=1))
+
+
+def prune_candidates(query_sentence: np.ndarray,
+                     distilled: dict | PackedEmbeddings,
+                     k_percent: float) -> CandidateSet:
+    """Keep the ceil(k% * M) videos with highest cosine(distilled, sentence).
+
+    `distilled` maps id -> embedding, or is that mapping already packed."""
     if not 0.0 < k_percent <= 100.0:
         raise ValueError("k_percent must lie in (0, 100]")
-    if not distilled:
+    if not isinstance(distilled, PackedEmbeddings):
+        distilled = PackedEmbeddings.pack(distilled)
+    if not len(distilled.ids):
         raise ValueError("empty corpus")
     sentence = np.asarray(query_sentence, dtype=np.float64)
     s_norm = np.linalg.norm(sentence)
-    ids = sorted(distilled.keys())
-    mat = np.stack([np.asarray(distilled[i], dtype=np.float64) for i in ids])
-    scores = (mat @ sentence) / (np.linalg.norm(mat, axis=1) * s_norm)
-    keep = int(math.ceil(k_percent / 100.0 * len(ids)))
+    scores = (distilled.matrix @ sentence) / (distilled.norms * s_norm)
+    keep = int(math.ceil(k_percent / 100.0 * len(distilled.ids)))
     # sort by descending score, ties by id order (ids already ascending)
     order = np.argsort(-scores, kind="stable")[:keep]
     return CandidateSet(
-        video_ids=[ids[i] for i in order],
+        video_ids=distilled.ids[order].tolist(),
         coarse_scores=scores[order],
         k_percent=k_percent,
     )

@@ -206,3 +206,21 @@ def test_unknown_checkpoint_group_exits_three(tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes().replace(b"gate.w1", b"fooo.w1"))
     assert run_cli(["eval", "--corpus", str(corpus_path), "--model", str(ckpt)]) == 3
     assert "code=unknown-parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group,name,replacement,code", [
+    ("gate", "b1", None, "unknown-parameter"),
+    ("scorer", "f_w2", np.zeros((8, 2)), "dimension-mismatch"),
+])
+def test_malformed_checkpoint_parameter_exits_three(tmp_path, capsys, group, name,
+                                                    replacement, code):
+    corpus_path = _synth(tmp_path)
+    model = init_model_params(0, 8, 8)
+    if replacement is None:
+        del model.group(group)[name]
+    else:
+        model.group(group)[name] = replacement
+    ckpt = tmp_path / "broken.pclw"
+    save_checkpoint(model, str(ckpt))
+    assert run_cli(["eval", "--corpus", str(corpus_path), "--model", str(ckpt)]) == 3
+    assert f"code={code}" in capsys.readouterr().err

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from proclip import engine
+from proclip import engine, pruner
 from proclip.corpus import CorpusFormatError, SynthSpec, synth_corpus
 from proclip.model import init_model_params
 
@@ -178,6 +179,59 @@ def test_index_round_trip_is_bit_exact(tmp_path, small_corpus, small_model, inde
     for vid in index.distilled:
         assert loaded.distilled[vid].tobytes() == index.distilled[vid].tobytes()
         assert loaded.contexts[vid].tobytes() == index.contexts[vid].tobytes()
+
+
+def test_retrieve_is_the_same_from_a_loaded_index(tmp_path, small_corpus,
+                                                  small_model, index):
+    path = tmp_path / "i.pclx"
+    engine.save_index(index, str(path))
+    loaded = engine.load_index(str(path), small_corpus, small_model)
+    for q in small_corpus.queries[:4]:
+        for k in (100.0, 30.0):
+            config = engine.RetrievalConfig(k_percent=k)
+            a, b = engine.retrieve(q, index, config), engine.retrieve(q, loaded, config)
+            assert a.video_ids == b.video_ids
+            assert a.stage1_scores == b.stage1_scores
+            assert a.stage2_scores == b.stage2_scores
+            assert a.counters == b.counters
+
+
+def test_retrieve_stage1_is_bitwise_the_dict_pruning(small_corpus, index):
+    m = len(small_corpus.videos)
+    for q in small_corpus.queries[:4]:
+        full = pruner.prune_candidates(q.sentence, index.distilled, 100.0)
+        ranked = engine.retrieve(q, index, engine.RetrievalConfig(k_percent=25.0))
+        keep = ranked.counters["stage2_videos"]
+        assert set(ranked.video_ids[:keep]) == set(full.video_ids[:keep])
+        assert ranked.video_ids[keep:] == full.video_ids[keep:]
+        assert list(ranked.stage1_scores) == full.video_ids
+        got = np.array(list(ranked.stage1_scores.values()))
+        assert got.tobytes() == full.coarse_scores.tobytes() and len(got) == m
+
+
+def test_load_index_checks_ids_and_frames_against_corpus(tmp_path, small_corpus,
+                                                         small_model, index):
+    path = tmp_path / "i.pclx"
+    engine.save_index(index, str(path))
+    videos = small_corpus.videos
+    doubled = tmp_path / "doubled.pclx"  # lists vid_00000 twice
+    engine.save_index(dataclasses.replace(
+        index, corpus=dataclasses.replace(small_corpus, videos=videos + videos[:1])),
+        str(doubled))
+    with pytest.raises(CorpusFormatError) as err:
+        engine.load_index(str(doubled), small_corpus, small_model)
+    assert err.value.code == "dimension-mismatch"
+    shortened = dataclasses.replace(videos[3], raw_frames=videos[3].raw_frames[:-1],
+                                    clip_frames=videos[3].clip_frames[:-1])
+    renamed = dataclasses.replace(videos[0], id="vid_99999")
+    for corpus_videos in (videos[1:],                               # extra id in index
+                          videos + [renamed],                       # id missing from index
+                          [renamed] + videos[1:],                   # one id swapped
+                          videos[:3] + [shortened] + videos[4:]):   # wrong row count
+        corpus = dataclasses.replace(small_corpus, videos=corpus_videos)
+        with pytest.raises(CorpusFormatError) as err:
+            engine.load_index(str(path), corpus, small_model)
+        assert err.value.code == "dimension-mismatch"
 
 
 def test_index_error_codes(tmp_path, small_corpus, small_model, index):

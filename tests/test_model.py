@@ -89,3 +89,26 @@ def test_checkpoint_error_codes(tmp_path):
         assert raw.count(b"gate.w1") == 1
         bad.write_bytes(raw.replace(b"gate.w1", renamed))
         _expect_code(bad, "unknown-parameter")
+
+    # a known group with a missing, an extra or a misshapen parameter
+    missing = init_model_params(0, 5, 8)
+    del missing.gate["b1"]
+    extra = init_model_params(0, 5, 8)
+    extra.scorer["z_w1"] = np.zeros((8, 8))
+    short = init_model_params(0, 5, 8)
+    short.encoder["layers"].pop()
+    for broken, code in ((missing, "unknown-parameter"), (extra, "unknown-parameter"),
+                         (short, "unknown-parameter")):
+        save_checkpoint(broken, str(bad))
+        _expect_code(bad, code)
+    for group, name, shape in (("scorer", "f_w2", (8, 2)), ("scorer", "y_b1", (9,)),
+                               ("encoder", "proj_w", (5,)), ("gate", "w1", (16, 8)),
+                               ("logit_scale", "log_scale", (2,))):
+        broken = init_model_params(0, 5, 8)
+        broken.group(group)[name] = np.zeros(shape)
+        save_checkpoint(broken, str(bad))
+        _expect_code(bad, "dimension-mismatch")
+    # the expected shapes follow the file's own dims, scorer width included
+    wide = init_model_params(0, 5, 8, scorer_hidden=24)
+    save_checkpoint(wide, str(bad))
+    assert load_checkpoint(str(bad)).scorer["f_w1"].shape == (8, 24)

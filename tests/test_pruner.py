@@ -83,6 +83,36 @@ def test_prune_full_ratio_keeps_everything_sorted():
         assert np.isclose(score, expected[vid], atol=1e-12)
 
 
+def _reference_prune(query, distilled):
+    """Stage 1 as a per-query pass: sort the ids, stack the rows, score, sort."""
+    ids = sorted(distilled)
+    mat = np.stack([np.asarray(distilled[i], dtype=np.float64) for i in ids])
+    sentence = np.asarray(query, dtype=np.float64)
+    scores = (mat @ sentence) / (np.linalg.norm(mat, axis=1) * np.linalg.norm(sentence))
+    order = np.argsort(-scores, kind="stable")
+    return [ids[i] for i in order], scores[order]
+
+
+@pytest.mark.parametrize("row_dtype", [np.float64, np.float32])
+def test_packed_path_is_bitwise_the_dict_path(row_dtype):
+    rng = CounterRng(8)
+    rows = rng.unit_vectors(300, 32)
+    # every row appears twice under ids far apart, so ties must break by id
+    distilled = {f"vid_{(i * 7919) % 600:05d}": rows[i % 300].astype(row_dtype)
+                 for i in range(600)}
+    packed = pruner.PackedEmbeddings.pack(distilled)
+    assert packed.matrix.dtype == np.float64
+    for query in rng.unit_vectors(5, 32):
+        ref_ids, ref_scores = _reference_prune(query, distilled)
+        for source in (distilled, packed):
+            cs = pruner.prune_candidates(query, source, 100.0)
+            assert cs.video_ids == ref_ids
+            assert cs.coarse_scores.dtype == np.float64
+            assert cs.coarse_scores.tobytes() == ref_scores.tobytes()
+        narrow = pruner.prune_candidates(query, packed, 10.0)
+        assert narrow.video_ids == ref_ids[:60]
+
+
 def test_prune_candidate_count_uses_ceiling():
     distilled = _random_embeddings(1000)
     query = CounterRng(2).unit_vectors(1, 6)[0]
