@@ -54,12 +54,6 @@ class CorpusBundle:
     dims: dict
     manifest: dict
 
-    def video_by_id(self, vid: str) -> VideoRecord:
-        for v in self.videos:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
 
 @dataclass
 class SynthSpec:
@@ -229,39 +223,63 @@ def synth_corpus(spec: SynthSpec) -> CorpusBundle:
 
 
 # -- binary format -------------------------------------------------------
+#
+# PCLP (corpus), PCLW (checkpoint) and PCLX (index) share one codec: a 4-byte
+# magic, a u16 version, then little-endian records of u16-length UTF-8
+# names, fixed-width integers and float32 payloads.
 
-def _pack_str(s: str) -> bytes:
+def pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
     return struct.pack("<H", len(raw)) + raw
 
 
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+def pack_f32(arr) -> bytes:
+    return np.ascontiguousarray(arr, dtype="<f4").tobytes()
 
-    def take(self, n: int) -> bytes:
+
+class Reader:
+    """Bounds-checked cursor over one file; malformed bytes raise CorpusFormatError."""
+
+    def __init__(self, path, magic: bytes, version: int, what: str):
+        with open(path, "rb") as fh:
+            self.buf = memoryview(fh.read())
+        self.pos = 0
+        self.what = what
+        if self.take(4) != magic:
+            raise CorpusFormatError("bad-magic", f"{what} file expected")
+        (got,) = self.unpack("<H")
+        if got != version:
+            raise CorpusFormatError("version-mismatch", f"{what} version {got}")
+
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CorpusFormatError("truncated-payload",
-                                    f"needed {n} bytes at offset {self.pos}")
+                                    f"{self.what}: needed {n} bytes at offset {self.pos}")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
 
-    def unpack(self, fmt: str):
+    def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def read_str(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError("dimension-mismatch",
+                                    f"{self.what}: name is not UTF-8 ({exc.reason})") from None
 
-    def read_f32(self, count: int) -> np.ndarray:
-        data = self.take(4 * count)
-        return np.frombuffer(data, dtype="<f4", count=count).copy()
+    def read_f32(self, *shape: int) -> np.ndarray:
+        """A writable float32 array; math.prod cannot wrap on a forged shape."""
+        data = self.take(4 * math.prod(shape))
+        return np.frombuffer(data, dtype="<f4").reshape(shape).copy()
 
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.buf)
+    def finish(self) -> None:
+        if self.pos != len(self.buf):
+            raise CorpusFormatError("dimension-mismatch",
+                                    f"{self.what}: {len(self.buf) - self.pos} "
+                                    "unexpected trailing bytes")
 
 
 def write_corpus(bundle: CorpusBundle, path: str) -> None:
@@ -270,18 +288,11 @@ def write_corpus(bundle: CorpusBundle, path: str) -> None:
              struct.pack("<HHIIII", FORMAT_VERSION, 0, d_v, d,
                          len(bundle.videos), len(bundle.queries))]
     for v in bundle.videos:
-        n = v.raw_frames.shape[0]
-        parts.append(_pack_str(v.id))
-        parts.append(struct.pack("<fI", v.duration_s, n))
-        parts.append(np.ascontiguousarray(v.raw_frames, dtype="<f4").tobytes())
-        parts.append(np.ascontiguousarray(v.clip_frames, dtype="<f4").tobytes())
-        parts.append(np.ascontiguousarray(v.teacher_video, dtype="<f4").tobytes())
+        parts += [pack_str(v.id), struct.pack("<fI", v.duration_s, v.raw_frames.shape[0]),
+                  pack_f32(v.raw_frames), pack_f32(v.clip_frames), pack_f32(v.teacher_video)]
     for q in bundle.queries:
-        parts.append(_pack_str(q.id))
-        parts.append(struct.pack("<I", q.words.shape[0]))
-        parts.append(np.ascontiguousarray(q.words, dtype="<f4").tobytes())
-        parts.append(np.ascontiguousarray(q.sentence, dtype="<f4").tobytes())
-        parts.append(_pack_str(q.ground_truth_video))
+        parts += [pack_str(q.id), struct.pack("<I", q.words.shape[0]), pack_f32(q.words),
+                  pack_f32(q.sentence), pack_str(q.ground_truth_video)]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
     sidecar = {
@@ -297,46 +308,42 @@ def write_corpus(bundle: CorpusBundle, path: str) -> None:
 
 
 def read_corpus(path: str) -> CorpusBundle:
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read())
-    if r.take(4) != MAGIC:
-        raise CorpusFormatError("bad-magic", "not a corpus file")
-    version, _flags, d_v, d, n_videos, n_queries = r.unpack("<HHIIII")
-    if version != FORMAT_VERSION:
-        raise CorpusFormatError("version-mismatch", f"version {version}")
+    r = Reader(path, MAGIC, FORMAT_VERSION, "corpus")
+    _flags, d_v, d, n_videos, n_queries = r.unpack("<HIIII")
     videos = []
     for _ in range(n_videos):
         vid = r.read_str()
         duration, n = r.unpack("<fI")
-        raw = r.read_f32(n * d_v).reshape(n, d_v)
-        clip = r.read_f32(n * d).reshape(n, d)
-        teacher = r.read_f32(d)
-        videos.append(VideoRecord(vid, float(duration), raw, clip, teacher))
+        videos.append(VideoRecord(vid, float(duration), r.read_f32(n, d_v),
+                                  r.read_f32(n, d), r.read_f32(d)))
     queries = []
     for _ in range(n_queries):
         qid = r.read_str()
         (w,) = r.unpack("<I")
-        words = r.read_f32(w * d).reshape(w, d)
-        sentence = r.read_f32(d)
-        gt = r.read_str()
-        queries.append(QueryRecord(qid, words, sentence, gt))
-    if not r.exhausted:
-        raise CorpusFormatError("dimension-mismatch",
-                                f"{len(r.buf) - r.pos} unexpected trailing bytes")
-    manifest = {}
+        queries.append(QueryRecord(qid, r.read_f32(w, d), r.read_f32(d), r.read_str()))
+    r.finish()
+    header = {"n_videos": n_videos, "n_queries": n_queries, "D_v": d_v, "D": d}
+    return CorpusBundle(videos, queries, {"D_v": d_v, "D": d},
+                        _read_manifest(str(path) + ".manifest.json", header))
+
+
+def _read_manifest(path: str, header: dict) -> dict:
+    """The sidecar's manifest, after checking the sidecar against the header."""
     try:
-        with open(str(path) + ".manifest.json") as fh:
+        with open(path, encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        for key, got in (("n_videos", n_videos), ("n_queries", n_queries),
-                         ("D_v", d_v), ("D", d)):
-            if key in sidecar and sidecar[key] != got:
-                raise CorpusFormatError(
-                    "dimension-mismatch",
-                    f"manifest {key}={sidecar[key]} but header has {got}")
-        manifest = sidecar.get("manifest", {})
     except FileNotFoundError:
-        pass
-    return CorpusBundle(videos, queries, {"D_v": d_v, "D": d}, manifest)
+        return {}
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+        raise CorpusFormatError("dimension-mismatch", f"manifest sidecar: {exc}") from None
+    if not isinstance(sidecar, dict) or not isinstance(sidecar.get("manifest", {}), dict):
+        raise CorpusFormatError("dimension-mismatch", "manifest sidecar is not a JSON object")
+    for key, got in header.items():
+        if key in sidecar and sidecar[key] != got:
+            raise CorpusFormatError(
+                "dimension-mismatch",
+                f"manifest {key}={sidecar[key]} but header has {got}")
+    return sidecar.get("manifest", {})
 
 
 def bundles_equal(a: CorpusBundle, b: CorpusBundle) -> bool:

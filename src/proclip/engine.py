@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import aggregator, prompt, pruner, sampler
-from .corpus import CorpusBundle, CorpusFormatError, QueryRecord, VideoRecord
+from .corpus import (CorpusBundle, CorpusFormatError, QueryRecord, Reader, VideoRecord,
+                     pack_f32, pack_str)
 from .encoder import encode_video
-from .model import ModelParams, model_hash
+from .model import ModelParams, flatten_params, model_hash
 
 INDEX_MAGIC = b"PCLX"
 INDEX_VERSION = 1
@@ -48,6 +49,13 @@ class RetrievalIndex:
 
     def __post_init__(self):
         self.videos = {v.id: v for v in self.corpus.videos}
+        clips = {v.id: v.clip_frames for v in self.corpus.videos}
+        for what, arrays in (("model parameter", flatten_params(self.model)),
+                             ("context", self.contexts), ("distilled row", self.distilled),
+                             ("clip frames", clips)):
+            bad = next((k for k, a in arrays.items() if not np.isfinite(a).all()), None)
+            if bad is not None:
+                raise ValueError(f"{what} {bad!r} holds NaN or inf")
         self.packed = pruner.PackedEmbeddings.pack(self.distilled)
 
 
@@ -237,59 +245,33 @@ def latency_csv(reports: list[LatencyReport]) -> str:
 # -- index persistence ---------------------------------------------------
 
 def save_index(index: RetrievalIndex, path: str) -> None:
-    d = index.model.dims[1]
-    parts = [INDEX_MAGIC, struct.pack("<H", INDEX_VERSION)]
-    hash_bytes = bytes.fromhex(model_hash(index.model))
-    parts.append(hash_bytes)  # 32 bytes
     ids = [v.id for v in index.corpus.videos]
-    parts.append(struct.pack("<II", len(ids), d))
+    parts = [INDEX_MAGIC, struct.pack("<H", INDEX_VERSION),
+             bytes.fromhex(model_hash(index.model)),  # 32 bytes
+             struct.pack("<II", len(ids), index.model.dims[1])]
     for vid in ids:
-        enc = vid.encode("utf-8")
-        ctx = np.ascontiguousarray(index.contexts[vid], dtype="<f4")
-        parts.append(struct.pack("<H", len(enc)) + enc)
-        parts.append(struct.pack("<I", ctx.shape[0]))
-        parts.append(np.ascontiguousarray(index.distilled[vid], dtype="<f4").tobytes())
-        parts.append(ctx.tobytes())
+        parts += [pack_str(vid), struct.pack("<I", index.contexts[vid].shape[0]),
+                  pack_f32(index.distilled[vid]), pack_f32(index.contexts[vid])]
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
 def load_index(path: str, corpus: CorpusBundle, model: ModelParams) -> RetrievalIndex:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(buf):
-            raise CorpusFormatError("truncated-payload",
-                                    f"needed {n} bytes at offset {pos}")
-        out = buf[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4) != INDEX_MAGIC:
-        raise CorpusFormatError("bad-magic", "not an index file")
-    (version,) = struct.unpack("<H", take(2))
-    if version != INDEX_VERSION:
-        raise CorpusFormatError("version-mismatch", f"version {version}")
-    stored_hash = take(32).hex()
-    if stored_hash != model_hash(model):
+    r = Reader(path, INDEX_MAGIC, INDEX_VERSION, "index")
+    if r.take(32).hex() != model_hash(model):
         raise CorpusFormatError("model-mismatch", "index built from different model")
-    m, d = struct.unpack("<II", take(8))
+    m, d = r.unpack("<II")
     if d != model.dims[1]:
         raise CorpusFormatError("dimension-mismatch",
                                 f"index width {d}, model width {model.dims[1]}")
     ids, contexts, distilled = [], {}, {}
     for _ in range(m):
-        (nlen,) = struct.unpack("<H", take(2))
-        vid = take(nlen).decode("utf-8")
+        vid = r.read_str()
+        (n,) = r.unpack("<I")
         ids.append(vid)
-        (n,) = struct.unpack("<I", take(4))
-        distilled[vid] = np.frombuffer(take(4 * d), dtype="<f4").copy()
-        contexts[vid] = np.frombuffer(take(4 * n * d), dtype="<f4").reshape(n, d).copy()
-    if pos != len(buf):
-        raise CorpusFormatError("dimension-mismatch", "trailing bytes in index")
+        distilled[vid] = r.read_f32(d)
+        contexts[vid] = r.read_f32(n, d)
+    r.finish()
     if sorted(ids) != sorted(v.id for v in corpus.videos):
         raise CorpusFormatError("dimension-mismatch", "index video ids do not match the corpus")
     for v in corpus.videos:

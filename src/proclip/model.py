@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import aggregator, encoder, prompt, pruner, sampler
-from .corpus import CorpusFormatError
+from .corpus import CorpusFormatError, Reader, pack_f32, pack_str
 from .rng import CounterRng
 
 CHECKPOINT_MAGIC = b"PCLW"
@@ -52,10 +52,12 @@ def _init_params(rng, d_v: int, d: int, scorer_hidden: int) -> ModelParams:
 
 
 class _ShapeOnlyRng:
-    """Stands in for CounterRng where only the parameter shapes matter."""
+    """Stands in for CounterRng where only the parameter shapes matter.
+
+    Its draws are zero-stride views, so the dims of a forged file allocate nothing."""
 
     def uniform_range(self, n: int, lo: float, hi: float) -> np.ndarray:
-        return np.zeros(n)
+        return np.broadcast_to(0.0, (n,))
 
 
 # -- flatten / rebuild ---------------------------------------------------
@@ -142,11 +144,8 @@ def serialize_checkpoint(model: ModelParams) -> bytes:
     parts = [CHECKPOINT_MAGIC, struct.pack("<HI", CHECKPOINT_VERSION, len(flat))]
     for name in sorted(flat):
         arr = np.ascontiguousarray(flat[name], dtype="<f4")
-        enc = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(enc)) + enc)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack("<%dI" % arr.ndim, *arr.shape))
-        parts.append(arr.tobytes())
+        parts += [pack_str(name), struct.pack("<B%dI" % arr.ndim, arr.ndim, *arr.shape),
+                  pack_f32(arr)]
     return b"".join(parts)
 
 
@@ -156,35 +155,15 @@ def save_checkpoint(model: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(buf):
-            raise CorpusFormatError("truncated-payload",
-                                    f"needed {n} bytes at offset {pos}")
-        out = buf[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4) != CHECKPOINT_MAGIC:
-        raise CorpusFormatError("bad-magic", "not a checkpoint file")
-    version, count = struct.unpack("<HI", take(6))
-    if version != CHECKPOINT_VERSION:
-        raise CorpusFormatError("version-mismatch", f"version {version}")
+    r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     flat = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1))
-        shape = struct.unpack("<%dI" % ndim, take(4 * ndim)) if ndim else ()
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(4 * size), dtype="<f4", count=size)
-        flat[name] = arr.reshape(shape).astype(np.float64)
-    if pos != len(buf):
-        raise CorpusFormatError("dimension-mismatch", "trailing bytes in checkpoint")
+    for _ in range(r.unpack("<I")[0]):
+        name = r.read_str()
+        (ndim,) = r.unpack("<B")
+        if ndim > 2:  # every parameter is a vector or a matrix
+            raise CorpusFormatError("dimension-mismatch", f"{name} has {ndim} axes")
+        flat[name] = r.read_f32(*r.unpack("<%dI" % ndim)).astype(np.float64)
+    r.finish()
     return unflatten_params(flat)
 
 

@@ -132,9 +132,9 @@ def _pair_similarity(frame_ctx, clip_frames, query, model_view, k_frames, tau):
     return aggregator.cosine_similarity(v_emb, sentence)
 
 
-def batch_similarity_matrix(batch, corpus: CorpusBundle, model_view, k_frames, tau):
+def batch_similarity_matrix(batch, videos_by_id: dict, model_view, k_frames, tau):
     """B x B matrix with entry (i, j) = s(video_i | query_j, text_j)."""
-    videos = [corpus.video_by_id(q.ground_truth_video) for q in batch]
+    videos = [videos_by_id[q.ground_truth_video] for q in batch]
     contexts = {}
     for v in videos:
         if v.id not in contexts:
@@ -165,6 +165,7 @@ def train_retrieval_stage(corpus: CorpusBundle, config: TrainConfig,
         model = copy.deepcopy(model)
     rng = CounterRng(config.seed ^ 0x5EED)
     batches = _make_batches(corpus, config.batch_size, rng)
+    videos_by_id = {v.id: v for v in corpus.videos}
     history = []
     step = 0
     for epoch in range(config.epochs):
@@ -174,7 +175,7 @@ def train_retrieval_stage(corpus: CorpusBundle, config: TrainConfig,
             tau = config.tau_initial * float(np.exp(-config.tau_decay * step))
             registry: dict = {}
             view = {g: _wrap(model.group(g), registry, g) for g in STAGE1_GROUPS}
-            sim = batch_similarity_matrix(batch, corpus, view, config.k_frames, tau)
+            sim = batch_similarity_matrix(batch, videos_by_id, view, config.k_frames, tau)
             scale = exp(view["logit_scale"]["log_scale"])
             loss = contrastive_loss(sim * scale)
             loss.backward()

@@ -224,3 +224,30 @@ def test_malformed_checkpoint_parameter_exits_three(tmp_path, capsys, group, nam
     save_checkpoint(model, str(ckpt))
     assert run_cli(["eval", "--corpus", str(corpus_path), "--model", str(ckpt)]) == 3
     assert f"code={code}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sidecar", [b"[]", b"{"])
+def test_bad_manifest_sidecar_exits_three(tmp_path, capsys, sidecar):
+    path = _synth(tmp_path)
+    (tmp_path / "c.pclp.manifest.json").write_bytes(sidecar)
+    assert run_cli(["validate", str(path)]) == 3
+    assert "code=dimension-mismatch" in capsys.readouterr().err
+
+
+def test_non_utf8_checkpoint_name_exits_three(tmp_path, capsys):
+    corpus_path = _synth(tmp_path)
+    ckpt = _checkpoint(tmp_path, corpus_path)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b"gate.w1", b"gate.\xffw"))
+    assert run_cli(["eval", "--corpus", str(corpus_path), "--model", str(ckpt)]) == 3
+    assert "code=dimension-mismatch" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_parameter_exits_four(tmp_path, capsys):
+    corpus_path = _synth(tmp_path)
+    model = init_model_params(0, 8, 8)
+    model.scorer["f_w1"][0, 0] = np.nan
+    ckpt = tmp_path / "nan.pclw"
+    save_checkpoint(model, str(ckpt))
+    assert run_cli(["eval", "--corpus", str(corpus_path), "--model", str(ckpt)]) == 4
+    err = capsys.readouterr().err
+    assert "code=invalid-input" in err and "scorer.f_w1" in err

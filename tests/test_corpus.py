@@ -106,9 +106,15 @@ def test_trailing_bytes_rejected(corpus_file):
 
 def test_manifest_disagreement_rejected(corpus_file):
     sidecar = corpus_file.with_name(corpus_file.name + ".manifest.json")
-    text = sidecar.read_text().replace('"n_videos": 4', '"n_videos": 9')
-    sidecar.write_text(text)
-    _expect_code(corpus_file, "dimension-mismatch")
+    good = sidecar.read_bytes()
+    for text in (good.replace(b'"n_videos": 4', b'"n_videos": 9'),
+                 good[:-3],                # malformed JSON
+                 b"\xff" + good,           # not UTF-8
+                 b"[" * 100_000,           # nested too deep for the parser
+                 b"[]", b"[1]", b'"x"',    # JSON, but not an object
+                 b'{"manifest": []}'):
+        sidecar.write_bytes(text)
+        _expect_code(corpus_file, "dimension-mismatch")
 
 
 def test_missing_sidecar_is_tolerated(corpus_file):

@@ -257,6 +257,29 @@ def test_index_error_codes(tmp_path, small_corpus, small_model, index):
     assert err.value.code == "model-mismatch"
 
 
+def test_index_holds_only_finite_values(tmp_path, small_corpus, small_model, index):
+    import copy
+    vid = small_corpus.videos[2].id
+    model = copy.deepcopy(small_model)
+    model.scorer["f_w1"][0, 0] = np.nan
+    clips = [dataclasses.replace(v, clip_frames=np.full_like(v.clip_frames, np.inf))
+             if v.id == vid else v for v in small_corpus.videos]
+    for corpus, params in ((small_corpus, model),
+                           (dataclasses.replace(small_corpus, videos=clips), small_model)):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            engine.index_corpus(corpus, params)
+    # an index file whose distilled row or context row is NaN does not load
+    path = tmp_path / "nan.pclx"
+    for field in ("distilled", "contexts"):
+        broken = dataclasses.replace(index)
+        arr = getattr(index, field)[vid].copy()
+        arr[0] = np.nan
+        setattr(broken, field, {**getattr(index, field), vid: arr})
+        engine.save_index(broken, str(path))
+        with pytest.raises(ValueError, match=f"{vid}.*NaN or inf"):
+            engine.load_index(str(path), small_corpus, small_model)
+
+
 def test_untrained_model_still_ranks_planted_corpus_well(small_corpus, index):
     # the planted signal is strong enough to survive an untrained pipeline
     report = engine.evaluate(small_corpus.queries, index,

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from proclip.corpus import CorpusFormatError
-from proclip.model import (GROUPS, ModelParams, flatten_params,
+from proclip.model import (CHECKPOINT_MAGIC, GROUPS, ModelParams, flatten_params,
                            init_model_params, load_checkpoint, model_hash,
                            save_checkpoint, serialize_checkpoint,
                            unflatten_params)
@@ -108,6 +110,21 @@ def test_checkpoint_error_codes(tmp_path):
         broken.group(group)[name] = np.zeros(shape)
         save_checkpoint(broken, str(bad))
         _expect_code(bad, "dimension-mismatch")
+    # a forged shape: its element count must not wrap, and no parameter has 3 axes
+    head = CHECKPOINT_MAGIC + struct.pack("<HI", 1, 1) + struct.pack("<H", 7) + b"gate.w1"
+    for shape, code in (((2**32 - 1, 2**32 - 1), "truncated-payload"),
+                        ((2**31, 2**31, 4), "dimension-mismatch"),
+                        ((1,) * 97, "dimension-mismatch")):
+        bad.write_bytes(head + struct.pack("<B%dI" % len(shape), len(shape), *shape)
+                        + b"\x00" * 64)
+        _expect_code(bad, code)
+    # forged dims of 2**16 imply 32 GiB matrices; the check must not allocate them
+    wide_dims = b"".join(
+        struct.pack("<H", len(name)) + name + struct.pack("<B2I", 2, *shape)
+        + bytes(4 * shape[0] * shape[1])
+        for name, shape in ((b"encoder.proj_w", (1, 2**16)), (b"scorer.f_w1", (2**16, 1))))
+    bad.write_bytes(CHECKPOINT_MAGIC + struct.pack("<HI", 1, 2) + wide_dims)
+    _expect_code(bad, "unknown-parameter")
     # the expected shapes follow the file's own dims, scorer width included
     wide = init_model_params(0, 5, 8, scorer_hidden=24)
     save_checkpoint(wide, str(bad))
