@@ -169,9 +169,12 @@ def value(x):
 
 
 def _softmax_np(x, axis):
-    z = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    # in place on one fresh array: a block's attention weights are the
+    # largest temporaries of an index build
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def softmax(x, axis=-1):
@@ -256,11 +259,12 @@ def mean(x, axis=None, keepdims=False):
     return np.mean(x, axis=axis, keepdims=keepdims)
 
 
-def transpose(x):
-    """Swap the last two axes (the matrix transpose of each batch item)."""
+def transpose(x, axis1=-1, axis2=-2):
+    """Swap two axes, by default the last two (a batched matrix transpose)."""
     if isinstance(x, Tensor):
-        return Tensor(x.data.swapaxes(-1, -2), (x,), (lambda g: np.asarray(g).swapaxes(-1, -2),))
-    return np.asarray(x).swapaxes(-1, -2)
+        return Tensor(x.data.swapaxes(axis1, axis2), (x,),
+                      (lambda g: np.asarray(g).swapaxes(axis1, axis2),))
+    return np.asarray(x).swapaxes(axis1, axis2)
 
 
 def reshape(x, shape):

@@ -97,6 +97,18 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+class _InvalidCorpus(Exception):
+    """A corpus that fails `validate_corpus`: exit 4, as `proclip validate`."""
+
+
+def _read_valid_corpus(path: str):
+    corpus = read_corpus(path)
+    violations = validate_corpus(corpus).violations
+    if violations:
+        raise _InvalidCorpus(f"{len(violations)} violations, first: {violations[0]}")
+    return corpus
+
+
 def _load_model_for(corpus, path: str):
     model = load_checkpoint(path)
     d_v, d = model.dims
@@ -133,7 +145,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    corpus = read_corpus(args.corpus)
+    corpus = _read_valid_corpus(args.corpus)
     cfg = trainer.TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                               seed=args.seed, k_frames=args.k_frames,
                               lr_backbone=args.lr_backbone, lr_head=args.lr_head,
@@ -161,7 +173,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    corpus = read_corpus(args.corpus)
+    corpus = _read_valid_corpus(args.corpus)
     model = _load_model_for(corpus, args.model)
     index = engine.index_corpus(corpus, model)
     config = engine.RetrievalConfig(k_percent=args.k, k_frames=args.k_frames)
@@ -171,7 +183,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    corpus = read_corpus(args.corpus)
+    corpus = _read_valid_corpus(args.corpus)
     model = _load_model_for(corpus, args.model)
     if bool(args.query_id) == bool(args.embedding):
         return _fail(EXIT_VALIDATION, "bad-query",
@@ -203,7 +215,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    corpus = read_corpus(args.corpus)
+    corpus = _read_valid_corpus(args.corpus)
     model = _load_model_for(corpus, args.model)
     k_list = _parse_k_list(args.k_list)
     if not k_list or any(not 0 < k <= 100 or not math.isfinite(k) for k in k_list):
@@ -234,6 +246,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except CorpusFormatError as exc:
         return _fail(EXIT_IO, exc.code, str(exc))
+    except _InvalidCorpus as exc:
+        return _fail(EXIT_VALIDATION, "invalid-corpus", str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, "io-error", str(exc))
     except ValueError as exc:

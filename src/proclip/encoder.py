@@ -20,7 +20,7 @@ DURATION_THRESHOLD_S = 60.0
 
 @dataclass
 class FrameContextMatrix:
-    rows: object            # N x D (ndarray or Tensor)
+    rows: object            # [C x] N x D (ndarray or Tensor)
     source_video: str = ""
     layers_applied: int = 0
 
@@ -35,9 +35,9 @@ def init_encoder_params(rng: CounterRng, d_v: int, d: int) -> dict:
 
 def project_frames(raw, params):
     w = value(params["proj_w"])
-    if value(raw).shape[1] != w.shape[0]:
+    if value(raw).shape[-1] != w.shape[0]:
         raise ValueError("raw frame dim %d does not match projection input %d"
-                         % (value(raw).shape[1], w.shape[0]))
+                         % (value(raw).shape[-1], w.shape[0]))
     return nn.affine(raw, params["proj_w"], params["proj_b"])
 
 
@@ -53,7 +53,7 @@ def positional_encoding(n: int, d: int) -> np.ndarray:
 
 
 def add_positional(x):
-    n, d = value(x).shape
+    n, d = value(x).shape[-2:]
     return x + positional_encoding(n, d)
 
 
@@ -75,6 +75,7 @@ def encode_temporal(x, duration_s: float, params, source_video: str = "") -> Fra
 
 
 def encode_video(raw, duration_s: float, params, source_video: str = "") -> FrameContextMatrix:
-    """Full path: projection + positions + temporal stack."""
+    """Full path: projection + positions + temporal stack.  raw is [C x] N x D_v:
+    C videos of one frame count, each of the depth `duration_s` implies."""
     x = add_positional(project_frames(raw, params))
     return encode_temporal(x, duration_s, params, source_video=source_video)

@@ -20,14 +20,14 @@ import numpy as np
 from . import aggregator, prompt, pruner, sampler
 from .corpus import (CorpusBundle, CorpusFormatError, QueryRecord, Reader, VideoRecord,
                      pack_f32, pack_str)
-from .encoder import encode_video
+from .encoder import depth_for_duration, encode_video
 from .model import ModelParams, flatten_params, model_hash
 
 INDEX_MAGIC = b"PCLX"
 INDEX_VERSION = 1
 
-# frame rows per batched stage-2 pass; the cap bounds a block's temporaries
-STAGE2_BLOCK_ROWS = 384
+# frame rows per batched pass (index build, stage 2); bounds a block's temporaries
+BLOCK_ROWS = 384
 
 
 @dataclass
@@ -87,19 +87,39 @@ class LatencyReport:
     stage2_count: int
 
 
+def frame_blocks(videos, key=lambda v: None):
+    """Blocks of videos of one frame count and one key(v), in order of first
+    appearance, each of at most BLOCK_ROWS frame rows (or one video)."""
+    groups: dict = {}
+    for v in videos:
+        groups.setdefault((v.raw_frames.shape[0], key(v)), []).append(v)
+    for (n, _), group in groups.items():
+        if n == 0:
+            raise ValueError(f"video {group[0].id!r} has no frames")
+        step = max(1, BLOCK_ROWS // n)
+        yield from (group[i:i + step] for i in range(0, len(group), step))
+
+
+def encoded_blocks(videos, encoder_params):
+    """(block, C x N x D float64 contexts) per block of equal frame count and
+    encoder depth, one batched encoder pass each."""
+    for block in frame_blocks(videos, lambda v: depth_for_duration(v.duration_s)):
+        raw = np.stack([v.raw_frames for v in block]).astype(np.float64)
+        yield block, encode_video(raw, block[0].duration_s, encoder_params).rows
+
+
 def index_corpus(corpus: CorpusBundle, model: ModelParams) -> RetrievalIndex:
     d_v, d = model.dims
     if corpus.dims["D_v"] != d_v or corpus.dims["D"] != d:
         raise ValueError("corpus dims %s do not match model dims (%d, %d)"
                          % (corpus.dims, d_v, d))
-    contexts, distilled = {}, {}
-    for v in corpus.videos:
-        ctx = encode_video(v.raw_frames.astype(np.float64), v.duration_s,
-                           model.encoder, source_video=v.id)
-        f32 = ctx.rows.astype(np.float32)
-        contexts[v.id] = f32
+    contexts = dict.fromkeys(v.id for v in corpus.videos)  # corpus order
+    distilled = dict(contexts)
+    for block, rows in encoded_blocks(corpus.videos, model.encoder):
+        f32 = rows.astype(np.float32)
         phi = pruner.distill_forward(f32.astype(np.float64), model.distill)
-        distilled[v.id] = phi.astype(np.float32)
+        for v, ctx, row in zip(block, f32, phi.astype(np.float32)):
+            contexts[v.id], distilled[v.id] = ctx, row
     return RetrievalIndex(corpus=corpus, model=model, contexts=contexts,
                           distilled=distilled,
                           build_stats={"n_videos": len(corpus.videos)})
@@ -143,20 +163,13 @@ def retrieve(query: QueryRecord, index: RetrievalIndex,
     stage1_scores = dict(zip(full.video_ids, full.coarse_scores.tolist()))
     t1 = time.perf_counter()
 
-    by_frames: dict = {}
-    for vid in candidates:
-        by_frames.setdefault(index.contexts[vid].shape[0], []).append(vid)
     stage2_scores, frames_aggregated = {}, 0
-    for n, ids in by_frames.items():
-        step = max(1, STAGE2_BLOCK_ROWS // n)
-        for start in range(0, len(ids), step):
-            block = ids[start:start + step]
-            scores, frames = stage2_score(
-                query, [index.videos[vid] for vid in block],
-                np.stack([index.contexts[vid] for vid in block]),
-                index.model, config.k_frames)
-            stage2_scores.update(zip(block, scores.tolist()))
-            frames_aggregated += int(frames.sum())
+    for block in frame_blocks([index.videos[vid] for vid in candidates]):
+        scores, frames = stage2_score(
+            query, block, np.stack([index.contexts[v.id] for v in block]),
+            index.model, config.k_frames)
+        stage2_scores.update(zip((v.id for v in block), scores.tolist()))
+        frames_aggregated += int(frames.sum())
     t2 = time.perf_counter()
 
     ranked = sorted(candidates, key=lambda vid: (-stage2_scores[vid], vid))

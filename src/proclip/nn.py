@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import asum, concat, mean, relu, softmax, sqrt, transpose, value
+from .autodiff import asum, mean, relu, reshape, softmax, sqrt, transpose, value
 from .rng import CounterRng
 
 LN_EPS = 1e-5
@@ -28,9 +28,10 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
 def single_head_attention(x, p, return_weights=False):
     """Scaled dot-product self-attention with per-head projections.
 
-    x: N x D.  Returns N x D (and the N x N weight matrix on request).
+    x: [C x] N x D.  Returns the same shape (and the [C x] N x N weights on
+    request); leading axes are independent batch items.
     """
-    d = value(x).shape[1]
+    d = value(x).shape[-1]
     q = affine(x, p["wq"], p["bq"])
     k = x @ p["wk"]  # no key bias: softmax rows are shift-invariant
     v = affine(x, p["wv"], p["bv"])
@@ -60,23 +61,23 @@ def encoder_block(x, p, return_weights=False):
 
 
 def multi_head_attention(x, p, heads, return_weights=False):
-    """Multi-head variant used by the distillation encoder."""
-    d = value(x).shape[1]
+    """Multi-head variant used by the distillation encoder, all heads in one
+    batched product.  x: [C x] N x D; weights on request: [C x] heads x N x N."""
+    d = value(x).shape[-1]
     if d % heads != 0:
         raise ValueError("head count %d does not divide width %d" % (heads, d))
     hd = d // heads
-    q = affine(x, p["wq"], p["bq"])
-    k = x @ p["wk"]
-    v = affine(x, p["wv"], p["bv"])
-    outs, weights = [], []
-    for h in range(heads):
-        sl = (slice(None), slice(h * hd, (h + 1) * hd))
-        a = softmax((q[sl] @ transpose(k[sl])) * (1.0 / np.sqrt(hd)), axis=-1)
-        outs.append(a @ v[sl])
-        weights.append(a)
-    out = affine(concat(outs, axis=1), p["wo"], p["bo"])
+
+    def split(t):  # [C x] N x D -> [C x] heads x N x hd
+        return transpose(reshape(t, value(t).shape[:-1] + (heads, hd)), -2, -3)
+
+    q = split(affine(x, p["wq"], p["bq"]))
+    k = split(x @ p["wk"])
+    v = split(affine(x, p["wv"], p["bv"]))
+    a = softmax((q @ transpose(k)) * (1.0 / np.sqrt(hd)), axis=-1)
+    out = affine(reshape(transpose(a @ v, -2, -3), value(x).shape), p["wo"], p["bo"])
     if return_weights:
-        return out, weights
+        return out, a
     return out
 
 

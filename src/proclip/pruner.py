@@ -41,12 +41,13 @@ def init_distill_params(rng: CounterRng, d: int) -> dict:
 
 
 def distill_forward(frame_context, params):
-    """Unit-norm distilled video embedding from N x D frame context."""
+    """Unit-norm distilled video embedding from N x D frame context, or
+    C x D embeddings from the C x N x D contexts of C videos."""
     x = nn.affine(frame_context, params["proj_w"], params["proj_b"])
     x = add_positional(x)
     for layer in params["layers"]:
         x = nn.multi_head_block(x, layer, DISTILL_HEADS)
-    pooled = mean(x, axis=0)
+    pooled = mean(x, axis=-2)
     return nn.unit_normalize(pooled)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import aggregator, prompt, pruner, sampler
+from . import aggregator, engine, prompt, pruner, sampler
 from .autodiff import (Tensor, asum, concat, exp, log_softmax, mean, reshape,
                        softmax, stack_rows, value)
 from .corpus import CorpusBundle
@@ -192,28 +192,33 @@ def train_retrieval_stage(corpus: CorpusBundle, config: TrainConfig,
 
 # -- stage 2: distillation ----------------------------------------------
 
+def _encode_corpus(corpus: CorpusBundle, model: ModelParams) -> dict:
+    """Video id -> N x D float64 frame context, encoded block by block."""
+    contexts = {}
+    for block, rows in engine.encoded_blocks(corpus.videos, model.encoder):
+        contexts.update(zip((v.id for v in block), rows))
+    return contexts
+
+
 def corpus_distill_mse(corpus: CorpusBundle, model: ModelParams,
                        contexts: dict | None = None) -> float:
     """Mean MSE between distilled and teacher video features over the corpus."""
+    if contexts is None:
+        contexts = _encode_corpus(corpus, model)
+    phis = {}
+    for block in engine.frame_blocks(corpus.videos):
+        rows = np.stack([contexts[v.id] for v in block])
+        phis.update(zip((v.id for v in block), pruner.distill_forward(rows, model.distill)))
     total = 0.0
     for v in corpus.videos:
-        ctx = (contexts[v.id] if contexts is not None else
-               encode_video(v.raw_frames.astype(np.float64), v.duration_s,
-                            model.encoder).rows)
-        phi = pruner.distill_forward(ctx, model.distill)
-        total += float(pruner.mse_distill_loss(phi, v.teacher_video.astype(np.float64)))
+        total += float(pruner.mse_distill_loss(phis[v.id], v.teacher_video.astype(np.float64)))
     return total / len(corpus.videos)
 
 
 def train_distill_stage(corpus: CorpusBundle, model: ModelParams,
                         config: TrainConfig) -> TrainResult:
     model = copy.deepcopy(model)
-    # backbone frozen: contexts are fixed inputs
-    contexts = {
-        v.id: encode_video(v.raw_frames.astype(np.float64), v.duration_s,
-                           model.encoder).rows
-        for v in corpus.videos
-    }
+    contexts = _encode_corpus(corpus, model)  # backbone frozen: fixed inputs
     trace = [corpus_distill_mse(corpus, model, contexts)]
     videos = list(corpus.videos)
     for _epoch in range(config.epochs):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proclip import autodiff as ad
+from proclip import nn
 from proclip.autodiff import Tensor
 from proclip.rng import CounterRng
 
@@ -77,6 +78,18 @@ def test_batched_matmul_grads():
     check_grad(lambda a: ad.asum((a @ x) ** 2), np.copy(RNG.normal(3)), tol=1e-5)
 
 
+def test_batched_attention_block_grads():
+    # C x N x D input: gradients of the input and of weights shared by the items
+    d = 8
+    p = nn.init_attention_layer(CounterRng(5), d, 2 * d)
+    x = RNG.normal(3 * 4 * d).reshape(3, 4, d)
+    w = RNG.normal(3 * 4 * d).reshape(3, 4, d)
+    for block in (nn.encoder_block, lambda h, q: nn.multi_head_block(h, q, 4)):
+        check_grad(lambda a: ad.asum(block(a, p) * w), x, tol=1e-5)
+        for name in ("wq", "wk", "wv", "wo", "ff_w1", "ln1_g"):
+            check_grad(lambda a: ad.asum(block(x, {**p, name: a}) * w), p[name], tol=1e-5)
+
+
 def test_getitem_scatter_grad():
     x = RNG.normal(6)
     idx = np.array([0, 2, 2, 5])  # repeated index must accumulate
@@ -116,6 +129,9 @@ def test_shape_op_grads():
     x3 = RNG.normal(24).reshape(2, 3, 4)
     assert ad.transpose(x3).shape == (2, 4, 3)
     check_grad(lambda a: ad.asum((ad.transpose(a) @ x3) ** 2), x3, tol=1e-5)
+    w3 = RNG.normal(24).reshape(4, 3, 2)
+    assert ad.transpose(x3, 0, 2).shape == w3.shape
+    check_grad(lambda a: ad.asum(ad.transpose(a, 0, -1) * w3), x3)
 
 
 def test_concat_and_stack_rows_grads():

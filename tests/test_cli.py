@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from proclip import engine
 from proclip.cli import run_cli
-from proclip.corpus import read_corpus
+from proclip.corpus import read_corpus, write_corpus
 from proclip.model import init_model_params, save_checkpoint
 
 
@@ -251,3 +253,28 @@ def test_non_finite_checkpoint_parameter_exits_four(tmp_path, capsys):
     assert run_cli(["eval", "--corpus", str(corpus_path), "--model", str(ckpt)]) == 4
     err = capsys.readouterr().err
     assert "code=invalid-input" in err and "scorer.f_w1" in err
+
+
+@pytest.mark.parametrize("cut,violation", [("words", "empty word matrix"),
+                                           ("frames", "no frames")])
+def test_entry_points_reject_an_invalid_corpus(tmp_path, capsys, cut, violation):
+    corpus_path = _synth(tmp_path)
+    ckpt = _checkpoint(tmp_path, corpus_path)
+    bundle = read_corpus(str(corpus_path))
+    if cut == "words":  # a query with 0 word rows
+        q = bundle.queries[1]
+        bundle.queries[1] = dataclasses.replace(q, words=q.words[:0])
+    else:               # a video with 0 frames
+        v = bundle.videos[2]
+        bundle.videos[2] = dataclasses.replace(v, raw_frames=v.raw_frames[:0],
+                                               clip_frames=v.clip_frames[:0])
+    write_corpus(bundle, str(corpus_path))
+    data = ["--corpus", str(corpus_path)]
+    model = data + ["--model", str(ckpt)]
+    for argv in (["eval"] + model,
+                 ["query"] + model + ["--query-id", "qry_00000"],
+                 ["bench"] + model + ["--rounds", "1"],
+                 ["train"] + data + ["--epochs", "1", "-o", str(tmp_path / "t.pclw")]):
+        assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert "code=invalid-corpus" in err and violation in err

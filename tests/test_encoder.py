@@ -131,6 +131,18 @@ def test_encode_video_reports_layers_applied():
     assert not np.allclose(short.rows, long.rows)
 
 
+@pytest.mark.parametrize("duration", [30.0, 75.0])
+def test_encode_video_batch_equals_rows(duration):
+    rng = CounterRng(12)
+    params = encoder.init_encoder_params(rng, 6, 8)
+    raw = rng.normal(3 * 10 * 6).reshape(3, 10, 6)
+    batch = encoder.encode_video(raw, duration, params)
+    assert batch.rows.shape == (3, 10, 8)
+    for c in range(3):  # each item alone, bit for bit
+        rows = encoder.encode_video(raw[c], duration, params).rows
+        assert rows.tobytes() == batch.rows[c].tobytes()
+
+
 def test_long_video_stack_extends_the_short_one():
     # the first three layers are shared, so a long encoding continues from
     # the short encoding's output

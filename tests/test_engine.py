@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from proclip import engine, pruner
 from proclip.corpus import CorpusFormatError, SynthSpec, synth_corpus
+from proclip.encoder import depth_for_duration, encode_video
 from proclip.model import init_model_params
 
 
@@ -37,6 +40,56 @@ def test_index_build_is_deterministic(small_corpus, small_model):
 def test_index_rejects_dim_mismatch(small_corpus):
     with pytest.raises(ValueError):
         engine.index_corpus(small_corpus, init_model_params(0, 9, 8))
+
+
+def test_index_rejects_a_video_without_frames(small_corpus, small_model):
+    v = small_corpus.videos[4]
+    empty = dataclasses.replace(v, raw_frames=v.raw_frames[:0], clip_frames=v.clip_frames[:0])
+    corpus = dataclasses.replace(small_corpus, videos=small_corpus.videos[:4] + [empty])
+    with pytest.raises(ValueError, match=f"video '{v.id}' has no frames"):
+        engine.index_corpus(corpus, small_model)
+
+
+@pytest.fixture(scope="module")
+def strata_corpus():
+    """80 videos of 8, 16, 24 or 32 frames, with both encoder depths."""
+    corpus = synth_corpus(SynthSpec(n_videos=80, n_queries=2, frames_per_video=32,
+                                    d_v=8, d=16, seed=7))
+    videos = [dataclasses.replace(v, raw_frames=v.raw_frames[:n], clip_frames=v.clip_frames[:n])
+              for v, n in zip(corpus.videos, itertools.cycle((8, 16, 24, 32)))]
+    return dataclasses.replace(corpus, videos=videos)
+
+
+@pytest.mark.parametrize("block_rows", [engine.BLOCK_ROWS, 40, 10])
+def test_blocked_index_build_equals_per_video_loop(strata_corpus, block_rows, monkeypatch):
+    monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+    videos = strata_corpus.videos
+    blocks = list(engine.frame_blocks(videos, lambda v: depth_for_duration(v.duration_s)))
+    assert sorted(v.id for b in blocks for v in b) == sorted(v.id for v in videos)
+    for b in blocks:
+        assert len({(v.raw_frames.shape[0], depth_for_duration(v.duration_s)) for v in b}) == 1
+        assert len(b) == 1 or len(b) * b[0].raw_frames.shape[0] <= block_rows
+    assert {depth_for_duration(v.duration_s) for v in videos} == {3, 5}
+    # videos share blocks, except at 10 rows, where every video has its own
+    assert (max(map(len, blocks)) > 1) == (block_rows > 10)
+    model = init_model_params(2, 8, 16)
+    index = engine.index_corpus(strata_corpus, model)
+    for v in videos:
+        ctx = encode_video(v.raw_frames.astype(np.float64), v.duration_s,
+                           model.encoder).rows.astype(np.float32)
+        phi = pruner.distill_forward(ctx.astype(np.float64), model.distill).astype(np.float32)
+        assert index.contexts[v.id].tobytes() == ctx.tobytes()
+        assert index.distilled[v.id].tobytes() == phi.tobytes()
+
+
+def test_small_index_bytes_are_pinned(tmp_path):
+    # digest written by the per-video index build; the blocked build must match it
+    corpus = synth_corpus(SynthSpec(n_videos=6, n_queries=2, frames_per_video=(8, 32),
+                                    d_v=8, d=16, seed=5))
+    path = tmp_path / "i.pclx"
+    engine.save_index(engine.index_corpus(corpus, init_model_params(2, 8, 16)), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "0309a234b27179a6f90ec62bd00db29bb08dbd9f098898bd3547851ccf1845f3")
 
 
 def test_full_ratio_equals_pruning_disabled_pipeline(small_corpus, index):
@@ -90,10 +143,10 @@ def mixed_index():
     return engine.index_corpus(corpus, init_model_params(2, 8, 16))
 
 
-@pytest.mark.parametrize("block_rows", [engine.STAGE2_BLOCK_ROWS, 40, 10])
+@pytest.mark.parametrize("block_rows", [engine.BLOCK_ROWS, 40, 10])
 def test_batched_retrieval_matches_per_candidate_loop(mixed_index, block_rows,
                                                       monkeypatch):
-    monkeypatch.setattr(engine, "STAGE2_BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
     counts = np.bincount([c.shape[0] for c in mixed_index.contexts.values()])
     if block_rows == 40:  # some frame count fills a block and leaves a partial one
         assert any(c > 40 // n and c % (40 // n) for n, c in enumerate(counts) if n)

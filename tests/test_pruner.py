@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proclip import nn, pruner
+from proclip.autodiff import Tensor
 from proclip.corpus import SynthSpec, synth_corpus
 from proclip.encoder import add_positional, encode_video
 from proclip.model import init_model_params
@@ -37,6 +38,19 @@ def test_distill_forward_matches_reference():
     expected /= np.linalg.norm(expected)
     assert np.allclose(pruner.distill_forward(x, params), expected, atol=1e-12)
     assert len(params["layers"]) == 3
+
+
+def test_distill_forward_batch_equals_rows():
+    rng = CounterRng(6)
+    params = pruner.init_distill_params(rng, 16)
+    x = rng.normal(3 * 12 * 16).reshape(3, 12, 16)
+    batch = pruner.distill_forward(x, params)
+    assert batch.shape == (3, 16)
+    for c in range(3):  # each item alone, bit for bit
+        assert pruner.distill_forward(x[c], params).tobytes() == batch[c].tobytes()
+    wrapped = {**params, "layers": [{k: Tensor(v) for k, v in layer.items()}
+                                    for layer in params["layers"]]}
+    assert np.allclose(pruner.distill_forward(Tensor(x), wrapped).data, batch, atol=1e-12)
 
 
 def test_single_row_pooling_is_identity_before_normalization():
