@@ -292,12 +292,5 @@ def concat(parts, axis=0):
     return np.concatenate(parts, axis=axis)
 
 
-def stack_rows(rows):
-    """Stack 1-D vectors into a matrix, differentiable when rows are Tensors."""
-    if any(isinstance(r, Tensor) for r in rows):
-        return concat([reshape(r, (1, -1)) for r in rows], axis=0)
-    return np.stack(rows, axis=0)
-
-
 def detach(x):
     return x.data.copy() if isinstance(x, Tensor) else np.asarray(x)

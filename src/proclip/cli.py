@@ -11,7 +11,7 @@ import numpy as np
 from . import engine, trainer
 from .corpus import (CorpusFormatError, QueryRecord, SynthSpec, read_corpus,
                      synth_corpus, validate_corpus, write_corpus)
-from .model import load_checkpoint, save_checkpoint
+from .model import flatten_params, load_checkpoint, require_finite, save_checkpoint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -22,6 +22,13 @@ EXIT_VALIDATION = 4
 def _fail(code: int, kind: str, message: str) -> int:
     print(f"error code={kind} exit={code} msg={message}", file=sys.stderr)
     return code
+
+
+def _require_positive(**flags) -> None:
+    """Reject a flag whose value is not a finite number above zero (exit 4)."""
+    for flag, val in flags.items():
+        if not 0 < val < math.inf:
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite and positive, not {val}")
 
 
 def _parse_k_list(text: str) -> list[float]:
@@ -145,22 +152,23 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _require_positive(epochs=args.epochs, lr_backbone=args.lr_backbone,
+                      lr_head=args.lr_head, lr_distill=args.lr_distill)
+    if args.stage == "distill" and not args.checkpoint:
+        return _fail(EXIT_VALIDATION, "missing-checkpoint",
+                     "--stage distill requires --checkpoint")
     corpus = _read_valid_corpus(args.corpus)
     cfg = trainer.TrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                               seed=args.seed, k_frames=args.k_frames,
                               lr_backbone=args.lr_backbone, lr_head=args.lr_head,
                               lr_distill=args.lr_distill)
+    model = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    if model is not None:
+        require_finite(("model parameter", flatten_params(model)))
     history = []
     if args.stage in ("retrieval", "both"):
-        start = load_checkpoint(args.checkpoint) if args.checkpoint else None
-        result = trainer.train_retrieval_stage(corpus, cfg, model=start)
-        history = result.history
-        model = result.model
-    else:
-        if not args.checkpoint:
-            return _fail(EXIT_VALIDATION, "missing-checkpoint",
-                         "--stage distill requires --checkpoint")
-        model = load_checkpoint(args.checkpoint)
+        result = trainer.train_retrieval_stage(corpus, cfg, model=model)
+        history, model = result.history, result.model
     if args.stage in ("distill", "both"):
         result = trainer.train_distill_stage(corpus, model, cfg)
         model = result.model
@@ -183,6 +191,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    _require_positive(top=args.top)
     corpus = _read_valid_corpus(args.corpus)
     model = _load_model_for(corpus, args.model)
     if bool(args.query_id) == bool(args.embedding):
@@ -215,6 +224,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _require_positive(rounds=args.rounds)
     corpus = _read_valid_corpus(args.corpus)
     model = _load_model_for(corpus, args.model)
     k_list = _parse_k_list(args.k_list)

@@ -21,7 +21,6 @@ DURATION_THRESHOLD_S = 60.0
 @dataclass
 class FrameContextMatrix:
     rows: object            # [C x] N x D (ndarray or Tensor)
-    source_video: str = ""
     layers_applied: int = 0
 
 
@@ -57,25 +56,21 @@ def add_positional(x):
     return x + positional_encoding(n, d)
 
 
-def self_attention_layer(x, layer_params, return_weights=False):
-    return nn.encoder_block(x, layer_params, return_weights=return_weights)
-
-
 def depth_for_duration(duration_s: float) -> int:
     if duration_s < 0:
         raise ValueError("duration must be nonnegative")
     return SHORT_DEPTH if duration_s <= DURATION_THRESHOLD_S else LONG_DEPTH
 
 
-def encode_temporal(x, duration_s: float, params, source_video: str = "") -> FrameContextMatrix:
+def encode_temporal(x, duration_s: float, params) -> FrameContextMatrix:
     depth = depth_for_duration(duration_s)
     for layer in params["layers"][:depth]:
-        x = self_attention_layer(x, layer)
-    return FrameContextMatrix(rows=x, source_video=source_video, layers_applied=depth)
+        x = nn.encoder_block(x, layer)
+    return FrameContextMatrix(rows=x, layers_applied=depth)
 
 
-def encode_video(raw, duration_s: float, params, source_video: str = "") -> FrameContextMatrix:
+def encode_video(raw, duration_s: float, params) -> FrameContextMatrix:
     """Full path: projection + positions + temporal stack.  raw is [C x] N x D_v:
     C videos of one frame count, each of the depth `duration_s` implies."""
     x = add_positional(project_frames(raw, params))
-    return encode_temporal(x, duration_s, params, source_video=source_video)
+    return encode_temporal(x, duration_s, params)

@@ -21,7 +21,7 @@ from . import aggregator, prompt, pruner, sampler
 from .corpus import (CorpusBundle, CorpusFormatError, QueryRecord, Reader, VideoRecord,
                      pack_f32, pack_str)
 from .encoder import depth_for_duration, encode_video
-from .model import ModelParams, flatten_params, model_hash
+from .model import ModelParams, flatten_params, model_hash, require_finite
 
 INDEX_MAGIC = b"PCLX"
 INDEX_VERSION = 1
@@ -49,13 +49,9 @@ class RetrievalIndex:
 
     def __post_init__(self):
         self.videos = {v.id: v for v in self.corpus.videos}
-        clips = {v.id: v.clip_frames for v in self.corpus.videos}
-        for what, arrays in (("model parameter", flatten_params(self.model)),
-                             ("context", self.contexts), ("distilled row", self.distilled),
-                             ("clip frames", clips)):
-            bad = next((k for k, a in arrays.items() if not np.isfinite(a).all()), None)
-            if bad is not None:
-                raise ValueError(f"{what} {bad!r} holds NaN or inf")
+        require_finite(("model parameter", flatten_params(self.model)),
+                       ("context", self.contexts), ("distilled row", self.distilled),
+                       ("clip frames", {v.id: v.clip_frames for v in self.corpus.videos}))
         self.packed = pruner.PackedEmbeddings.pack(self.distilled)
 
 
@@ -125,25 +121,30 @@ def index_corpus(corpus: CorpusBundle, model: ModelParams) -> RetrievalIndex:
                           build_stats={"n_videos": len(corpus.videos)})
 
 
+def fine_similarity(words, sentence, rows, clips, model: ModelParams, k_frames: int,
+                    tau: float | None = None):
+    """Similarity of one query to [C x] N x D frame contexts and clips, exact
+    top-k for retrieval (tau=None), relaxed top-k at temperature tau for training."""
+    fusion = prompt.prompt_fusion(words, sentence, rows, model.gate)
+    scores = sampler.frame_scores(rows, fusion.y, model.scorer)
+    selected, alpha = sampler.select_frames(scores, clips, min(k_frames, rows.shape[-2]), tau)
+    weighted = aggregator.weight_frames(selected, alpha)
+    v_emb = aggregator.aggregate_video(weighted, model.aggregator)
+    return aggregator.cosine_similarity(v_emb, sentence)
+
+
 def stage2_score(query: QueryRecord, video: VideoRecord | list[VideoRecord],
                  context: np.ndarray, model: ModelParams, k_frames: int):
     """Fine score and frames aggregated for one candidate, or per-candidate
     arrays for a list of videos of one frame count with stacked C x N x D contexts."""
-    rows = context.astype(np.float64)
-    words = query.words.astype(np.float64)
-    sentence = query.sentence.astype(np.float64)
     block = isinstance(video, list)
     clips = np.stack([v.clip_frames for v in video]) if block else video.clip_frames
-    fusion = prompt.prompt_fusion(words, sentence, rows, model.gate)
-    scores = sampler.frame_scores(rows, fusion.y, model.scorer)
-    sel = sampler.topk_infer(scores, min(k_frames, rows.shape[-2]))
-    clip_sel = np.take_along_axis(clips, sel.indices[..., None], axis=-2).astype(np.float64)
-    weighted = aggregator.weight_frames(clip_sel, sel.alpha)
-    v_emb = aggregator.aggregate_video(weighted, model.aggregator)
-    sim = aggregator.cosine_similarity(v_emb, sentence)
+    sim = fine_similarity(query.words.astype(np.float64), query.sentence.astype(np.float64),
+                          context.astype(np.float64), clips, model, k_frames)
+    frames = min(k_frames, context.shape[-2])
     if block:
-        return sim, np.full(len(video), sel.indices.shape[-1])
-    return float(sim), len(sel.indices)
+        return sim, np.full(len(video), frames)
+    return float(sim), frames
 
 
 def retrieve(query: QueryRecord, index: RetrievalIndex,

@@ -137,6 +137,15 @@ def unflatten_params(flat: dict) -> ModelParams:
     return ModelParams(**groups)
 
 
+def require_finite(*named: tuple) -> None:
+    """Raise ValueError naming the first NaN or inf array among the (what,
+    name -> array) pairs of `named`."""
+    for what, arrays in named:
+        bad = next((k for k, a in arrays.items() if not np.isfinite(a).all()), None)
+        if bad is not None:
+            raise ValueError(f"{what} {bad!r} holds NaN or inf")
+
+
 # -- checkpoint file -----------------------------------------------------
 
 def serialize_checkpoint(model: ModelParams) -> bytes:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .autodiff import detach, is_tensor, reshape, sigmoid, softmax, value
+from .autodiff import concat, detach, reshape, sigmoid, softmax, value
 from .rng import CounterRng
 
 TAU_INITIAL = 5.0
@@ -29,8 +29,7 @@ class SelectedFrames:
 
 @dataclass
 class SoftSelection:
-    weights: object       # K x N row-stochastic (ndarray or Tensor)
-    temperature: float
+    weights: object       # ... x K x N row-stochastic (ndarray or Tensor)
 
 
 def init_scorer_params(rng: CounterRng, d: int, hidden: int) -> dict:
@@ -73,31 +72,43 @@ def topk_infer(scores: np.ndarray, k: int) -> SelectedFrames:
 
 
 def hard_topk_train(scores, k: int, temperature: float) -> SoftSelection:
-    """Differentiable relaxed top-k.
+    """Differentiable relaxed top-k over the last axis: [... x] N scores give
+    [... x] K x N weights.
 
     Row r is softmax((scores + mask_r) / tau) where mask_r carries a large
     negative constant at every previously claimed argmax.  The mask is
     built from detached values (straight-through on the selection pattern),
     so gradients flow through the softmax rows only.
     """
-    n = value(scores).shape[0]
+    shape = value(scores).shape
+    n = shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} frames")
     if not temperature > 0:
         raise ValueError("temperature must be positive")
-    mask = np.zeros(n)
+    mask = np.zeros(shape)
     rows = []
     for _ in range(k):
         row = softmax((scores + mask) * (1.0 / temperature), axis=-1)
-        rows.append(row)
+        rows.append(reshape(row, shape[:-1] + (1, n)))
         mask = mask.copy()
-        mask[int(np.argmax(detach(row)))] = -SUPPRESS
-    if is_tensor(scores):
-        from .autodiff import stack_rows
-        weights = stack_rows(rows)
-    else:
-        weights = np.stack(rows, axis=0)
-    return SoftSelection(weights=weights, temperature=temperature)
+        np.put_along_axis(mask, np.argmax(detach(row), axis=-1)[..., None], -SUPPRESS, axis=-1)
+    return SoftSelection(weights=concat(rows, axis=-2))
+
+
+def select_frames(scores, clips, k: int, tau: float | None = None):
+    """Selected clip rows [... x] K x D and their weights [... x] K, from scores
+    [... x] N and clips [... x] N x D: the exact top-k for tau=None, else the
+    relaxed top-k at temperature tau, whose rows are soft mixtures of clips."""
+    if tau is None:
+        sel = topk_infer(scores, k)
+        # gather, then cast: casting first would copy every clip frame of a block
+        picked = np.take_along_axis(clips, sel.indices[..., None], axis=-2)
+        return picked.astype(np.float64), sel.alpha
+    weights = hard_topk_train(scores, k, tau).weights
+    lead = value(scores).shape[:-1]
+    mixed = reshape(weights @ reshape(scores, lead + (-1, 1)), lead + (k,))
+    return weights @ np.asarray(clips, dtype=np.float64), softmax(mixed, axis=-1)
 
 
 def anneal_temperature(step: int) -> float:

@@ -1,9 +1,10 @@
 """Two-stage optimization and the gradient verification harness.
 
 Stage 1 trains the sampling and aggregation path end to end with the
-symmetric contrastive loss over a batch similarity matrix; the relaxed
-top-k keeps the selection differentiable and its temperature follows the
-exponential anneal schedule.  Stage 2 freezes everything except the
+symmetric contrastive loss over a batch similarity matrix.  The matrix
+comes from retrieval's fine-stage forward, `engine.fine_similarity`, with
+the relaxed top-k in place of the exact one; its temperature follows
+`sampler.anneal_temperature`.  Stage 2 freezes everything except the
 distillation encoder and regresses it onto the teacher video features
 with MSE.  Plain gradient descent with per-group learning rates and
 global-norm clipping keeps runs deterministic.
@@ -12,16 +13,18 @@ global-norm clipping keeps runs deterministic.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import aggregator, engine, prompt, pruner, sampler
-from .autodiff import (Tensor, asum, concat, exp, log_softmax, mean, reshape,
-                       softmax, stack_rows, value)
+from .autodiff import Tensor, asum, concat, exp, log_softmax, mean, reshape, softmax, value
 from .corpus import CorpusBundle
-from .encoder import encode_video
-from .model import ModelParams, init_model_params
+# stage 1 encodes through engine.encoded_blocks; the name stays importable
+# here because perfbench's tracer test checks it is wrapped in this module
+from .encoder import encode_video  # noqa: F401
+from .model import ModelParams, _flatten_into, init_model_params
 from .rng import CounterRng
 
 
@@ -33,8 +36,6 @@ class TrainConfig:
     lr_head: float = 1e-2       # gate, scorer, aggregator, logit scale
     lr_distill: float = 1e-1    # distillation encoder (stage 2's only head)
     seed: int = 0
-    tau_initial: float = sampler.TAU_INITIAL
-    tau_decay: float = sampler.TAU_DECAY
     grad_clip: float = 1.0
     k_frames: int = 6
 
@@ -74,25 +75,24 @@ def _wrap(node, registry: dict, prefix: str):
     return t
 
 
-def _apply_update(node, registry: dict, prefix: str, lr: float, scale: float):
-    if isinstance(node, dict):
-        for k, v in node.items():
-            _apply_update(v, registry, f"{prefix}.{k}", lr, scale)
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            _apply_update(v, registry, f"{prefix}.{i}", lr, scale)
-    else:
-        t = registry[prefix]
-        if t.grad is not None:
-            node -= lr * scale * t.grad
-
-
-def _global_grad_norm(registry: dict) -> float:
-    total = 0.0
-    for t in registry.values():
-        if t.grad is not None:
-            total += float(np.sum(t.grad ** 2))
-    return float(np.sqrt(total))
+def _descend(loss, registry: dict, updates, grad_clip: float, where: str) -> None:
+    """Backpropagate `loss`, then take one gradient step on each (params,
+    prefix, lr) of `updates`, clipped to the global norm `grad_clip`.  A
+    non-finite loss or update raises ValueError naming `where`."""
+    if not np.isfinite(loss.data):
+        raise ValueError(f"{where}: loss is {float(loss.data)}")
+    loss.backward()
+    grads = {name: t.grad for name, t in registry.items() if t.grad is not None}
+    gnorm = float(np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values())))
+    scale = min(1.0, grad_clip / gnorm) if gnorm > 0 else 1.0
+    for params, prefix, lr in updates:
+        flat: dict = {}
+        _flatten_into(prefix, params, flat)  # the arrays of `params` themselves
+        for name, arr in flat.items():
+            if name in grads:
+                arr -= lr * scale * grads[name]
+                if not np.isfinite(arr).all():
+                    raise ValueError(f"{where}: the update left {name} NaN or inf")
 
 
 # -- stage 1: retrieval training ----------------------------------------
@@ -117,39 +117,24 @@ def _make_batches(corpus: CorpusBundle, batch_size: int, rng: CounterRng):
     return batches
 
 
-def _pair_similarity(frame_ctx, clip_frames, query, model_view, k_frames, tau):
-    """Similarity of one (video, query) pair on the differentiable path."""
-    words = query.words.astype(np.float64)
-    sentence = query.sentence.astype(np.float64)
-    fusion = prompt.prompt_fusion(words, sentence, frame_ctx, model_view["gate"])
-    scores = sampler.frame_scores(frame_ctx, fusion.y, model_view["scorer"])
-    k = min(k_frames, clip_frames.shape[0])
-    soft = sampler.hard_topk_train(scores, k, tau)
-    selected = soft.weights @ clip_frames.astype(np.float64)  # K x D soft mixtures
-    alpha = softmax(soft.weights @ scores, axis=-1)
-    weighted = aggregator.weight_frames(selected, alpha)
-    v_emb = aggregator.aggregate_video(weighted, model_view["aggregator"])
-    return aggregator.cosine_similarity(v_emb, sentence)
+def batch_similarity_matrix(batch, videos_by_id: dict, model_view: ModelParams,
+                            k_frames: int, tau: float):
+    """B x B matrix with entry (i, j) = s(video_i | query_j, text_j).
 
-
-def batch_similarity_matrix(batch, videos_by_id: dict, model_view, k_frames, tau):
-    """B x B matrix with entry (i, j) = s(video_i | query_j, text_j)."""
+    The batch's videos are encoded per block of one frame count and encoder
+    depth; each query then takes one `fine_similarity` over each block."""
     videos = [videos_by_id[q.ground_truth_video] for q in batch]
-    contexts = {}
-    for v in videos:
-        if v.id not in contexts:
-            contexts[v.id] = encode_video(v.raw_frames.astype(np.float64),
-                                          v.duration_s, model_view["encoder"],
-                                          source_video=v.id).rows
-    rows = []
-    for v in videos:
-        entries = []
-        for q in batch:
-            s = _pair_similarity(contexts[v.id], v.clip_frames, q,
-                                 model_view, k_frames, tau)
-            entries.append(reshape(s, (1,)))
-        rows.append(concat(entries, axis=0))
-    return stack_rows(rows)
+    queries = [(q.words.astype(np.float64), q.sentence.astype(np.float64)) for q in batch]
+    blocks, order = [], []
+    for block, rows in engine.encoded_blocks(videos, model_view.encoder):
+        clips = np.stack([v.clip_frames for v in block])
+        columns = [reshape(engine.fine_similarity(words, sentence, rows, clips, model_view,
+                                                  k_frames, tau), (-1, 1))
+                   for words, sentence in queries]
+        blocks.append(concat(columns, axis=-1))
+        order += [v.id for v in block]
+    row_of = {vid: i for i, vid in enumerate(order)}
+    return concat(blocks, axis=0)[np.array([row_of[v.id] for v in videos])]
 
 
 STAGE1_GROUPS = {"encoder": "backbone", "gate": "head", "scorer": "head",
@@ -166,24 +151,21 @@ def train_retrieval_stage(corpus: CorpusBundle, config: TrainConfig,
     rng = CounterRng(config.seed ^ 0x5EED)
     batches = _make_batches(corpus, config.batch_size, rng)
     videos_by_id = {v.id: v for v in corpus.videos}
+    updates = [(model.group(g), g, config.lr_backbone if kind == "backbone" else config.lr_head)
+               for g, kind in STAGE1_GROUPS.items()]
     history = []
     step = 0
     for epoch in range(config.epochs):
         losses = []
-        tau = config.tau_initial
         for batch in batches:
-            tau = config.tau_initial * float(np.exp(-config.tau_decay * step))
+            tau = sampler.anneal_temperature(step)
             registry: dict = {}
-            view = {g: _wrap(model.group(g), registry, g) for g in STAGE1_GROUPS}
+            view = dataclasses.replace(model, **{g: _wrap(model.group(g), registry, g)
+                                                 for g in STAGE1_GROUPS})
             sim = batch_similarity_matrix(batch, videos_by_id, view, config.k_frames, tau)
-            scale = exp(view["logit_scale"]["log_scale"])
-            loss = contrastive_loss(sim * scale)
-            loss.backward()
-            gnorm = _global_grad_norm(registry)
-            clip_scale = min(1.0, config.grad_clip / gnorm) if gnorm > 0 else 1.0
-            for g, kind in STAGE1_GROUPS.items():
-                lr = config.lr_backbone if kind == "backbone" else config.lr_head
-                _apply_update(model.group(g), registry, g, lr, clip_scale)
+            loss = contrastive_loss(sim * exp(view.logit_scale["log_scale"]))
+            _descend(loss, registry, updates, config.grad_clip,
+                     f"retrieval stage, epoch {epoch}, step {step}")
             losses.append(float(loss.data))
             step += 1
         history.append((epoch, float(np.mean(losses)), tau))
@@ -200,19 +182,24 @@ def _encode_corpus(corpus: CorpusBundle, model: ModelParams) -> dict:
     return contexts
 
 
+def distill_loss(videos, contexts: dict, distill_params):
+    """Mean over `videos` of the squared distance between each distilled
+    embedding and its teacher feature, one `distill_forward` per block of
+    equal frame count.  Differentiable when `distill_params` holds Tensors."""
+    per_video = []
+    for block in engine.frame_blocks(videos):
+        phi = pruner.distill_forward(np.stack([contexts[v.id] for v in block]), distill_params)
+        err = phi - np.stack([v.teacher_video for v in block]).astype(np.float64)
+        per_video.append(asum(err * err, axis=-1))
+    return mean(concat(per_video, axis=0))
+
+
 def corpus_distill_mse(corpus: CorpusBundle, model: ModelParams,
                        contexts: dict | None = None) -> float:
     """Mean MSE between distilled and teacher video features over the corpus."""
     if contexts is None:
         contexts = _encode_corpus(corpus, model)
-    phis = {}
-    for block in engine.frame_blocks(corpus.videos):
-        rows = np.stack([contexts[v.id] for v in block])
-        phis.update(zip((v.id for v in block), pruner.distill_forward(rows, model.distill)))
-    total = 0.0
-    for v in corpus.videos:
-        total += float(pruner.mse_distill_loss(phis[v.id], v.teacher_video.astype(np.float64)))
-    return total / len(corpus.videos)
+    return float(distill_loss(corpus.videos, contexts, model.distill))
 
 
 def train_distill_stage(corpus: CorpusBundle, model: ModelParams,
@@ -221,21 +208,15 @@ def train_distill_stage(corpus: CorpusBundle, model: ModelParams,
     contexts = _encode_corpus(corpus, model)  # backbone frozen: fixed inputs
     trace = [corpus_distill_mse(corpus, model, contexts)]
     videos = list(corpus.videos)
-    for _epoch in range(config.epochs):
+    step = 0
+    for epoch in range(config.epochs):
         for start in range(0, len(videos), config.batch_size):
-            batch = videos[start:start + config.batch_size]
             registry: dict = {}
             distill_view = _wrap(model.distill, registry, "distill")
-            per_video = []
-            for v in batch:
-                phi = pruner.distill_forward(contexts[v.id], distill_view)
-                err = phi - v.teacher_video.astype(np.float64)
-                per_video.append(reshape(asum(err * err), (1,)))
-            loss = mean(concat(per_video, axis=0))
-            loss.backward()
-            gnorm = _global_grad_norm(registry)
-            clip_scale = min(1.0, config.grad_clip / gnorm) if gnorm > 0 else 1.0
-            _apply_update(model.distill, registry, "distill", config.lr_distill, clip_scale)
+            loss = distill_loss(videos[start:start + config.batch_size], contexts, distill_view)
+            _descend(loss, registry, [(model.distill, "distill", config.lr_distill)],
+                     config.grad_clip, f"distill stage, epoch {epoch}, step {step}")
+            step += 1
         trace.append(corpus_distill_mse(corpus, model, contexts))
     return TrainResult(model=model, mse_trace=trace)
 
@@ -360,7 +341,6 @@ def grad_check(block_id: str, seed: int = 0, epsilon: float = 1e-4,
     out = forward(tree)
     out.backward()
 
-    from .model import _flatten_into
     flat: dict = {}
     _flatten_into("p", params, flat)
 

@@ -134,13 +134,13 @@ def test_shape_op_grads():
     check_grad(lambda a: ad.asum(ad.transpose(a, 0, -1) * w3), x3)
 
 
-def test_concat_and_stack_rows_grads():
+def test_concat_and_getitem_grads():
     x = RNG.normal_matrix(2, 3)
     other = RNG.normal_matrix(1, 3)
 
     def build(a):
-        cat = ad.concat([a, other], axis=0)
-        rows = ad.stack_rows([cat[0] * 2.0, cat[2] + 1.0])
+        cat = ad.concat([a, other], axis=-2)
+        rows = cat[np.array([2, 0, 0])] * np.array([[1.0], [2.0], [-1.0]])
         return ad.asum(rows * rows)
 
     check_grad(build, x, tol=1e-5)

@@ -278,3 +278,51 @@ def test_entry_points_reject_an_invalid_corpus(tmp_path, capsys, cut, violation)
         assert run_cli(argv) == 4
         err = capsys.readouterr().err
         assert "code=invalid-corpus" in err and violation in err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("query", "--top", "-1"), ("query", "--top", "0"),
+    ("bench", "--rounds", "0"),
+    ("train", "--epochs", "-1"), ("train", "--epochs", "0"),
+    ("train", "--lr-head", "nan"), ("train", "--lr-backbone", "0"),
+    ("train", "--lr-distill", "inf"), ("train", "--lr-head", "-0.01"),
+])
+def test_out_of_range_flags_exit_four(tmp_path, capsys, command, flag, value):
+    corpus_path = _synth(tmp_path)
+    ckpt = _checkpoint(tmp_path, corpus_path)
+    out = tmp_path / "out"
+    data = ["--corpus", str(corpus_path)]
+    argv = {"query": ["query"] + data + ["--model", str(ckpt), "--query-id", "qry_00000"],
+            "bench": ["bench"] + data + ["--model", str(ckpt)],
+            "train": ["train"] + data + ["--epochs", "1"]}[command]
+    assert run_cli(argv + [flag, value, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "code=invalid-input" in err and flag in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage", ["retrieval", "distill"])
+def test_train_refuses_a_non_finite_starting_checkpoint(tmp_path, capsys, stage):
+    corpus_path = _synth(tmp_path)
+    model = init_model_params(0, 8, 8)
+    model.gate["w1"][1, 2] = np.nan
+    ckpt = tmp_path / "nan.pclw"
+    save_checkpoint(model, str(ckpt))
+    out = tmp_path / "out.pclw"
+    assert run_cli(["train", "--corpus", str(corpus_path), "--stage", stage,
+                    "--checkpoint", str(ckpt), "--epochs", "1", "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "code=invalid-input" in err and "gate.w1" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow under test
+def test_train_stops_when_the_loss_diverges(tmp_path, capsys):
+    corpus_path = _synth(tmp_path)
+    out = tmp_path / "out.pclw"
+    assert run_cli(["train", "--corpus", str(corpus_path), "--epochs", "3",
+                    "--batch-size", "3", "--lr-head", "1e300", "--lr-distill", "1e300",
+                    "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "code=invalid-input" in err and "retrieval stage, epoch 0, step" in err
+    assert not out.exists()

@@ -104,7 +104,7 @@ def test_attention_layer_matches_straight_line_reference():
     h2 = ln(y, p["ln2_g"], p["ln2_b"])
     z = y + np.maximum(h2 @ p["ff_w1"] + p["ff_b1"], 0.0) @ p["ff_w2"] + p["ff_b2"]
 
-    got = encoder.self_attention_layer(x, p)
+    got = nn.encoder_block(x, p)
     assert np.allclose(got, z, atol=1e-9)
 
 
@@ -123,10 +123,9 @@ def test_encode_video_reports_layers_applied():
     rng = CounterRng(8)
     params = encoder.init_encoder_params(rng, 3, 6)
     raw = rng.normal_matrix(4, 3)
-    short = encoder.encode_video(raw, 30.0, params, source_video="v0")
+    short = encoder.encode_video(raw, 30.0, params)
     long = encoder.encode_video(raw, 90.0, params)
     assert short.layers_applied == 3 and long.layers_applied == 5
-    assert short.source_video == "v0"
     assert short.rows.shape == (4, 6)
     assert not np.allclose(short.rows, long.rows)
 
@@ -152,7 +151,7 @@ def test_long_video_stack_extends_the_short_one():
     short = encoder.encode_video(raw, 10.0, params).rows
     resumed = short
     for layer in params["layers"][3:5]:
-        resumed = encoder.self_attention_layer(resumed, layer)
+        resumed = nn.encoder_block(resumed, layer)
     assert np.allclose(resumed, encoder.encode_video(raw, 100.0, params).rows)
 
 

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proclip import autodiff as ad
 from proclip import sampler
 from proclip.rng import CounterRng
+from test_autodiff import check_grad
 
 
 def _constant_logit_params(d, hidden, logit=1.0, relevance_logit=0.0):
@@ -120,6 +122,28 @@ def test_hard_topk_validates_inputs():
         sampler.hard_topk_train(np.zeros(3), 5, 1.0)
     with pytest.raises(ValueError):
         sampler.hard_topk_train(np.zeros(3), 1, 0.0)
+
+
+def test_hard_topk_batch_matches_row_by_row():
+    rng = CounterRng(13)
+    tied = np.array([[0.3, 0.3, 0.3, 0.3, 0.3, 0.3],
+                     [0.1, 0.9, 0.5, 0.9, -2.0, 0.5],
+                     [0.7, -1.0, 0.7, 0.2, 0.7, 0.2]])
+    for scores in (tied, np.round(rng.normal(2 * 3 * 6), 1).reshape(2, 3, 6)):
+        for k, tau in ((1, 1e-4), (3, 0.5), (6, 2.0)):
+            batch = np.asarray(sampler.hard_topk_train(scores, k, tau).weights)
+            assert batch.shape == scores.shape[:-1] + (k, 6)
+            for idx in np.ndindex(scores.shape[:-1]):
+                one = np.asarray(sampler.hard_topk_train(scores[idx], k, tau).weights)
+                assert batch[idx].tobytes() == one.tobytes()
+
+
+def test_hard_topk_batch_gradient():
+    rng = CounterRng(14)
+    scores = rng.normal_matrix(3, 5)
+    w = rng.normal(3 * 4 * 5).reshape(3, 4, 5)
+    check_grad(lambda s: ad.asum(sampler.hard_topk_train(s, 4, 0.7).weights * w),
+               scores, tol=1e-6)
 
 
 def test_anneal_schedule():

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from proclip import trainer
-from proclip.autodiff import Tensor
+from proclip import engine, pruner, trainer
+from proclip.autodiff import Tensor, asum, concat, reshape
 from proclip.corpus import SynthSpec, synth_corpus
+from proclip.encoder import encode_video
 from proclip.model import flatten_params, init_model_params
 from proclip.rng import CounterRng
 from proclip.trainer import TrainConfig, contrastive_loss
@@ -13,6 +16,28 @@ from proclip.trainer import TrainConfig, contrastive_loss
 def tiny_corpus():
     return synth_corpus(SynthSpec(n_videos=8, n_queries=8, frames_per_video=6,
                                   d_v=8, d=8, relevance_snr=10.0, seed=2))
+
+
+@pytest.fixture(scope="module")
+def mixed_corpus():
+    """Six videos of 12/5/7/12/9/9 frames; query j's ground truth is video j.
+    The two 12-frame videos share an encoder depth, the 9-frame ones do not,
+    so the batch's blocks come in another order than its videos."""
+    corpus = synth_corpus(SynthSpec(n_videos=6, n_queries=6, frames_per_video=12,
+                                    d_v=8, d=8, relevance_snr=10.0, seed=4))
+    for i, (n, duration) in enumerate(zip((12, 5, 7, 12, 9, 9),
+                                          (30.0, 75.0, 30.0, 30.0, 30.0, 75.0))):
+        v = corpus.videos[i]
+        corpus.videos[i] = dataclasses.replace(v, duration_s=duration,
+                                               raw_frames=v.raw_frames[:n],
+                                               clip_frames=v.clip_frames[:n])
+    return corpus
+
+
+def _wrapped(model):
+    registry: dict = {}
+    groups = {g: trainer._wrap(model.group(g), registry, g) for g in trainer.STAGE1_GROUPS}
+    return dataclasses.replace(model, **groups), registry
 
 
 def _loss(sim):
@@ -138,3 +163,83 @@ def test_corpus_distill_mse_is_nonnegative(tiny_corpus):
 def test_training_log_csv_format():
     text = trainer.training_log_csv([(0, 1.5, 5.0), (1, 1.25, 4.0)])
     assert text == "epoch,loss,temperature\n0,1.5,5.0\n1,1.25,4.0\n"
+
+
+def test_batch_similarity_matrix_equals_the_pair_loop(mixed_corpus):
+    model = init_model_params(3, 8, 8)
+    batch = mixed_corpus.queries
+    videos = {v.id: v for v in mixed_corpus.videos}
+    weights = CounterRng(6).normal_matrix(6, 6)
+    k_frames, tau = 6, 0.8
+
+    view, batched = _wrapped(model)
+    sim = trainer.batch_similarity_matrix(batch, videos, view, k_frames, tau)
+    asum(sim * weights).backward()
+
+    # reference: one encoder pass per video, one fine_similarity per pair
+    view, looped = _wrapped(model)
+    rows = []
+    for q_video in batch:
+        v = videos[q_video.ground_truth_video]
+        ctx = encode_video(v.raw_frames.astype(np.float64), v.duration_s, view.encoder).rows
+        rows.append(concat([reshape(engine.fine_similarity(
+            q.words.astype(np.float64), q.sentence.astype(np.float64), ctx,
+            v.clip_frames, view, k_frames, tau), (1, 1)) for q in batch], axis=-1))
+    ref = concat(rows, axis=0)
+    asum(ref * weights).backward()
+
+    assert sim.shape == (6, 6)
+    assert np.max(np.abs(sim.data - ref.data)) <= 1e-12
+    assert batched.keys() == looped.keys()
+    for name, t in batched.items():
+        if name.startswith("logit_scale"):  # scales the loss, not the matrix
+            assert t.grad is None and looped[name].grad is None
+        else:
+            assert np.max(np.abs(t.grad - looped[name].grad)) <= 1e-12, name
+
+
+def test_blocked_distill_loss_equals_the_per_video_sum(mixed_corpus):
+    model = init_model_params(3, 8, 8)
+    videos = mixed_corpus.videos
+    contexts = trainer._encode_corpus(mixed_corpus, model)
+
+    reg_blocked: dict = {}
+    loss = trainer.distill_loss(videos, contexts,
+                                trainer._wrap(model.distill, reg_blocked, "distill"))
+    loss.backward()
+
+    reg_loop: dict = {}
+    view = trainer._wrap(model.distill, reg_loop, "distill")
+    per_video = [asum((pruner.distill_forward(contexts[v.id], view)
+                       - v.teacher_video.astype(np.float64)) ** 2) for v in videos]
+    ref = sum(per_video[1:], per_video[0]) * (1.0 / len(videos))
+    ref.backward()
+
+    assert abs(float(loss.data) - float(ref.data)) <= 1e-12
+    assert abs(trainer.corpus_distill_mse(mixed_corpus, model) - float(ref.data)) <= 1e-12
+    for name, t in reg_blocked.items():
+        assert np.max(np.abs(t.grad - reg_loop[name].grad)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("stage,field", [("retrieval", "lr_head"),
+                                         ("retrieval", "lr_backbone"),
+                                         ("distill", "lr_distill")])
+def test_a_non_finite_update_stops_training(tiny_corpus, stage, field):
+    config = dataclasses.replace(TrainConfig(batch_size=4, epochs=2, k_frames=3),
+                                 **{field: float("nan")})
+    model = init_model_params(0, 8, 8)
+    with pytest.raises(ValueError, match=f"{stage} stage, epoch 0, step 0: the update left"):
+        if stage == "retrieval":
+            trainer.train_retrieval_stage(tiny_corpus, config, model)
+        else:
+            trainer.train_distill_stage(tiny_corpus, model, config)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_loss_stops_training(tiny_corpus):
+    model = init_model_params(0, 8, 8)
+    model.logit_scale["log_scale"][...] = 1e3  # exp overflows: the first loss is inf
+    with pytest.raises(ValueError, match="retrieval stage, epoch 0, step 0: loss is"):
+        trainer.train_retrieval_stage(tiny_corpus, TrainConfig(batch_size=4, epochs=1,
+                                                               k_frames=3), model)
