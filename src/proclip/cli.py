@@ -162,7 +162,7 @@ def _cmd_train(args) -> int:
                               seed=args.seed, k_frames=args.k_frames,
                               lr_backbone=args.lr_backbone, lr_head=args.lr_head,
                               lr_distill=args.lr_distill)
-    model = load_checkpoint(args.checkpoint) if args.checkpoint else None
+    model = _load_model_for(corpus, args.checkpoint) if args.checkpoint else None
     if model is not None:
         require_finite(("model parameter", flatten_params(model)))
     history = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import struct
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ class RetrievalIndex:
 class RankedList:
     video_ids: list[str]
     stage2_scores: dict     # candidate id -> fine score
-    stage1_scores: dict     # every id -> coarse score
+    stage1_scores: Mapping  # every id -> coarse score, read-only, in stage-1 order
     timings: dict
     counters: dict
 
@@ -161,7 +162,6 @@ def retrieve(query: QueryRecord, index: RetrievalIndex,
     m = len(full.video_ids)
     keep = int(math.ceil(config.k_percent / 100.0 * m))
     candidates = full.video_ids[:keep]
-    stage1_scores = dict(zip(full.video_ids, full.coarse_scores.tolist()))
     t1 = time.perf_counter()
 
     stage2_scores, frames_aggregated = {}, 0
@@ -178,7 +178,7 @@ def retrieve(query: QueryRecord, index: RetrievalIndex,
     return RankedList(
         video_ids=ranked + pruned_out,
         stage2_scores=stage2_scores,
-        stage1_scores=stage1_scores,
+        stage1_scores=full.every_score,
         timings={"stage1_s": t1 - t0, "stage2_s": t2 - t1},
         counters={"stage2_videos": len(candidates),
                   "frames_aggregated": frames_aggregated},

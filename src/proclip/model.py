@@ -171,8 +171,12 @@ def load_checkpoint(path: str) -> ModelParams:
         (ndim,) = r.unpack("<B")
         if ndim > 2:  # every parameter is a vector or a matrix
             raise CorpusFormatError("dimension-mismatch", f"{name} has {ndim} axes")
-        flat[name] = r.read_f32(*r.unpack("<%dI" % ndim)).astype(np.float64)
+        flat[name] = r.read_f32(*r.unpack("<%dI" % ndim))
     r.finish()
+    # the cast of a signalling NaN would warn; require_finite refuses any NaN
+    # where the model is used
+    with np.errstate(invalid="ignore"):
+        flat = {name: arr.astype(np.float64) for name, arr in flat.items()}
     return unflatten_params(flat)
 
 

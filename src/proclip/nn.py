@@ -15,12 +15,29 @@ from .rng import CounterRng
 LN_EPS = 1e-5
 
 
+def _plain(*arrays) -> bool:
+    """True when every operand is a float64 ndarray (the inference path), so
+    an in-place update of a fresh result rounds as the generic expression."""
+    return all(type(a) is np.ndarray and a.dtype == np.float64 for a in arrays)
+
+
 def affine(x, w, b):
-    return x @ w + b
+    y = x @ w
+    if _plain(y, b):
+        y += b
+        return y
+    return y + b
 
 
 def layer_norm(x, gain, bias, eps=LN_EPS):
     m = mean(x, axis=-1, keepdims=True)
+    if _plain(x, gain, bias):
+        centred = x - m
+        v = np.mean(np.square(centred), axis=-1, keepdims=True)
+        centred /= np.sqrt(v + eps)
+        centred *= gain
+        centred += bias
+        return centred
     v = mean((x - m) ** 2, axis=-1, keepdims=True)
     return (x - m) / sqrt(v + eps) * gain + bias
 

@@ -64,6 +64,9 @@ def topk_infer(scores: np.ndarray, k: int) -> SelectedFrames:
     n = scores.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} frames")
+    if k == n:  # every frame, in index order: nothing to sort or gather
+        return SelectedFrames(indices=np.broadcast_to(np.arange(n), scores.shape).copy(),
+                              alpha=softmax(scores))
     order = np.argsort(-scores, axis=-1, kind="stable")  # stable: ties keep low index first
     indices = np.sort(order[..., :k], axis=-1)
     sel = np.take_along_axis(scores, indices, axis=-1)
@@ -102,8 +105,9 @@ def select_frames(scores, clips, k: int, tau: float | None = None):
     relaxed top-k at temperature tau, whose rows are soft mixtures of clips."""
     if tau is None:
         sel = topk_infer(scores, k)
-        # gather, then cast: casting first would copy every clip frame of a block
-        picked = np.take_along_axis(clips, sel.indices[..., None], axis=-2)
+        picked = (clips if k == np.shape(clips)[-2] else
+                  # gather, then cast: casting first would copy every clip frame of a block
+                  np.take_along_axis(clips, sel.indices[..., None], axis=-2))
         return picked.astype(np.float64), sel.alpha
     weights = hard_topk_train(scores, k, tau).weights
     lead = value(scores).shape[:-1]

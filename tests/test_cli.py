@@ -202,6 +202,18 @@ def test_model_corpus_dimension_mismatch_exits_three(tmp_path, capsys):
     assert "dimension-mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dv,dim", [(4, 8), (8, 16)])
+def test_train_checkpoint_dimension_mismatch_exits_three(tmp_path, capsys, dv, dim):
+    corpus_path = _synth(tmp_path, dv=8, dim=8)
+    ckpt = tmp_path / "wrong.pclw"
+    save_checkpoint(init_model_params(0, dv, dim), str(ckpt))
+    out = tmp_path / "out.pclw"
+    assert run_cli(["train", "--corpus", str(corpus_path), "--checkpoint", str(ckpt),
+                    "--epochs", "1", "-o", str(out)]) == 3
+    assert "code=dimension-mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_checkpoint_group_exits_three(tmp_path, capsys):
     corpus_path = _synth(tmp_path)
     ckpt = _checkpoint(tmp_path, corpus_path)

@@ -260,6 +260,11 @@ def test_retrieve_stage1_is_bitwise_the_dict_pruning(small_corpus, index):
         assert list(ranked.stage1_scores) == full.video_ids
         got = np.array(list(ranked.stage1_scores.values()))
         assert got.tobytes() == full.coarse_scores.tobytes() and len(got) == m
+        assert ranked.stage1_scores == dict(zip(full.video_ids, full.coarse_scores.tolist()))
+        with pytest.raises(KeyError):
+            ranked.stage1_scores["vid_missing"]
+        with pytest.raises(TypeError):
+            ranked.stage1_scores[full.video_ids[0]] = 0.0
 
 
 def test_load_index_checks_ids_and_frames_against_corpus(tmp_path, small_corpus,

@@ -1,12 +1,17 @@
 """The PCLP, PCLW and PCLX files: pinned bytes, and a mutation fuzz of the loaders."""
 
+import contextlib
 import hashlib
+import io
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proclip import engine
+from proclip.cli import run_cli
 from proclip.corpus import (CorpusFormatError, SynthSpec, read_corpus,
                             synth_corpus, write_corpus)
 from proclip.model import (flatten_params, init_model_params, load_checkpoint,
@@ -65,18 +70,37 @@ def formats(tmp_path_factory):
     model = init_model_params(0, 1, 8, scorer_hidden=1)
     write_corpus(corpus, str(root / "f.pclp"))
     save_checkpoint(model, str(root / "f.pclw"))
+
+    def load_then_train(path):
+        """Load a checkpoint; one holding NaN or inf must exit 4 at `proclip train`."""
+        loaded = load_checkpoint(path)
+        if not all(np.isfinite(a).all() for a in flatten_params(loaded).values()):
+            code, err = _train_from(root / "f.pclp", path, root / "trained.pclw")
+            assert code == 4 and "holds NaN or inf" in err and "Traceback" not in err
+        return loaded
+
     engine.save_index(engine.index_corpus(corpus, model), str(root / "f.pclx"))
     ids = [v.id for v in corpus.videos] + [q.id for q in corpus.queries]
     out = {}
     for fmt, names, load in (
             ("pclp", ids, read_corpus),  # the fuzzed copy has no sidecar
-            ("pclw", flatten_params(model), load_checkpoint),
+            ("pclw", flatten_params(model), load_then_train),
             ("pclx", ids[:2], lambda p: engine.load_index(p, corpus, model))):
         raw = (root / f"f.{fmt}").read_bytes()
         out[fmt] = (raw, load, *_name_offsets(raw, names))
     return out
 
 
+def _train_from(corpus_path, ckpt_path, out_path) -> tuple:
+    """(exit status, stderr) of a one-epoch `proclip train --checkpoint`."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(["train", "--corpus", str(corpus_path), "--checkpoint", str(ckpt_path),
+                        "--epochs", "1", "-o", str(out_path)])
+    return code, err.getvalue()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a loader's cast must not warn
 @pytest.mark.parametrize("fmt", ["pclp", "pclw", "pclx"])
 @settings(derandomize=True, deadline=None, max_examples=250)
 @given(data=st.data())
@@ -96,3 +120,24 @@ def test_mutated_files_fail_only_with_format_errors(formats, tmp_path_factory, f
         # a flipped float may be NaN or inf, which an index refuses (exit 4)
         if not (fmt == "pclx" and "holds NaN or inf" in str(exc)):
             raise
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bits", [0x7F800001, 0xFFBFFFFF, 0x7FC00000, 0xFF800000],
+                         ids=["snan", "negative-snan", "qnan", "-inf"])
+@pytest.mark.parametrize("name", ["encoder.proj_w", "scorer.f_b2", "logit_scale.log_scale"])
+def test_a_non_finite_checkpoint_float_exits_four_at_train(tmp_path, bits, name):
+    corpus_path, ckpt = tmp_path / "c.pclp", tmp_path / "m.pclw"
+    write_corpus(synth_corpus(SynthSpec(n_videos=4, n_queries=4, frames_per_video=3,
+                                        d_v=2, d=8, seed=6)), str(corpus_path))
+    model = init_model_params(0, 2, 8)
+    raw = bytearray(serialize_checkpoint(model))
+    # a record is the length-prefixed name, the axis count, the axes, the floats
+    at = raw.find(len(name).to_bytes(2, "little") + name.encode()) + 2 + len(name)
+    at += 1 + 4 * raw[at]
+    raw[at:at + 4] = struct.pack("<I", bits)
+    ckpt.write_bytes(bytes(raw))
+    assert not np.isfinite(flatten_params(load_checkpoint(str(ckpt)))[name]).all()
+    code, err = _train_from(corpus_path, ckpt, tmp_path / "out.pclw")
+    assert code == 4 and "code=invalid-input" in err and name in err
+    assert "Traceback" not in err and not (tmp_path / "out.pclw").exists()

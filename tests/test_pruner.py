@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proclip import nn, pruner
 from proclip.autodiff import Tensor
@@ -181,3 +183,67 @@ def test_distill_pipeline_determinism():
     a = pruner.distill_forward(ctx, model.distill)
     b = pruner.distill_forward(ctx, model.distill)
     assert np.array_equal(a, b)
+
+
+# a few values drawn often, so most draws hold ties, -0.0 beside 0.0, and NaN
+_TIE_PRONE = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, np.inf, -np.inf, np.nan]),
+                       st.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(_TIE_PRONE, min_size=1, max_size=300), st.integers(0, 3))
+def test_descending_order_is_the_stable_argsort(values, copies):
+    scores = np.array(values * (copies + 1))  # duplicated runs: ties far apart
+    got = pruner.descending_order(scores)
+    assert got.tolist() == np.argsort(-scores, kind="stable").tolist()
+
+
+def test_descending_order_breaks_ties_of_signed_zeros_by_index():
+    scores = np.array([0.0, -0.0, 1.0] * 40 + [-0.0, 0.0] * 40)
+    expected = np.argsort(-scores, kind="stable")
+    assert pruner.descending_order(scores).tolist() == expected.tolist()
+
+
+def test_descending_order_keeps_nans_in_index_order():
+    # no two finite scores are equal, so only the NaNs can reorder
+    scores = CounterRng(14).normal_matrix(1, 3000)[0]
+    scores[::3] = np.nan
+    expected = np.argsort(-scores, kind="stable")
+    assert pruner.descending_order(scores).tolist() == expected.tolist()
+    assert pruner.descending_order(np.full(2000, np.nan)).tolist() == list(range(2000))
+
+
+@pytest.fixture(scope="module")
+def packed_and_scores():
+    distilled = _random_embeddings(40, seed=12)
+    distilled["vid_99999"] = distilled["vid_00003"].copy()  # a tie broken by id
+    query = CounterRng(13).unit_vectors(1, 6)[0]
+    return distilled, pruner.prune_candidates(query, pruner.PackedEmbeddings.pack(distilled),
+                                              25.0)
+
+
+def test_every_score_equals_the_dict_of_the_full_ranking(packed_and_scores):
+    distilled, cs = packed_and_scores
+    query = CounterRng(13).unit_vectors(1, 6)[0]
+    full = pruner.prune_candidates(query, distilled, 100.0)
+    old = dict(zip(full.video_ids, full.coarse_scores.tolist()))
+    view = cs.every_score
+    assert view == old and old == view and dict(view) == old
+    assert list(view) == full.video_ids and len(view) == len(distilled)
+    assert list(view.items()) == list(old.items())
+    assert all(type(v) is float for v in view.values())
+    assert cs.video_ids == full.video_ids[:len(cs.video_ids)]
+
+
+def test_every_score_is_read_only_and_refuses_unknown_ids(packed_and_scores):
+    _, cs = packed_and_scores
+    view = cs.every_score
+    first = next(iter(view))
+    with pytest.raises(TypeError):
+        view[first] = 0.0
+    with pytest.raises(TypeError):
+        del view[first]
+    assert not hasattr(view, "pop") and not hasattr(view, "update")
+    with pytest.raises(KeyError):
+        view["vid_missing"]
+    assert "vid_missing" not in view and view.get("vid_missing") is None

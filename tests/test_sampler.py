@@ -97,6 +97,36 @@ def test_topk_full_selection():
     assert np.allclose(sel.alpha, e / e.sum())
 
 
+def _gather_select(scores, clips, k):
+    """Exact selection as a sort and two gathers, whatever k is."""
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    indices = np.sort(order[..., :k], axis=-1)
+    alpha = ad.softmax(np.take_along_axis(scores, indices, axis=-1))
+    picked = np.take_along_axis(clips, indices[..., None], axis=-2).astype(np.float64)
+    return indices, alpha, picked
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("clip_dtype", [np.float32, np.float64])
+def test_selection_is_bitwise_the_gather_path_for_every_k(lead, clip_dtype):
+    rng = CounterRng(21)
+    n, d = 6, 4
+    scores = rng.normal_matrix(int(np.prod(lead)), n).reshape(lead + (n,))
+    scores[..., 2] = scores[..., 4]  # a tie inside every row
+    clips = rng.normal_matrix(int(np.prod(lead)) * n, d).reshape(lead + (n, d)).astype(clip_dtype)
+    before = scores.copy(), clips.copy()
+    for k in range(1, n + 1):
+        indices, alpha, picked = _gather_select(scores, clips, k)
+        sel = sampler.topk_infer(scores, k)
+        assert sel.indices.shape == indices.shape and sel.indices.tolist() == indices.tolist()
+        assert sel.alpha.tobytes() == alpha.tobytes()
+        got, got_alpha = sampler.select_frames(scores, clips, k)
+        assert got.dtype == np.float64 and got.shape == picked.shape
+        assert got.tobytes() == picked.tobytes() and got_alpha.tobytes() == alpha.tobytes()
+        assert not np.shares_memory(got, clips) and not np.shares_memory(got_alpha, scores)
+    assert scores.tobytes() == before[0].tobytes() and clips.tobytes() == before[1].tobytes()
+
+
 def test_topk_rejects_bad_k():
     for k in (0, 4):
         with pytest.raises(ValueError):
