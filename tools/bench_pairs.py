@@ -96,7 +96,7 @@ def _commit(checkout: str) -> str | None:
 
 
 def bench_pairs(parent: str, change: str, workloads: list, pairs: int, seed: int,
-                seconds: float, claim: tuple | None = None, log=print) -> dict:
+                seconds: float, claim: tuple | None = None) -> dict:
     with open(os.path.join(change, "BENCHMARK.json"), encoding="utf-8") as fh:
         gated = json.load(fh)["end_to_end"]
     env = _env()
@@ -111,8 +111,8 @@ def bench_pairs(parent: str, change: str, workloads: list, pairs: int, seed: int
                 run = run_once(dirs[side], workload, seed, seconds, env)
                 runs[side].append(run)
                 out["env"].setdefault(side, run["env"])
-                log(f"{workload} pair {i} {side}: " + " ".join(
-                    f"{k}={v:.4g}" for k, v in run["metrics"].items()))
+                print(f"{workload} pair {i} {side}: " + " ".join(
+                    f"{k}={v:.4g}" for k, v in run["metrics"].items()), flush=True)
         report = {"failed": {side: [r["failed"] for r in runs[side]] for side in SIDES},
                   "attempted": {side: [r["attempted"] for r in runs[side]] for side in SIDES}}
         for m in gated:
