@@ -198,19 +198,14 @@ def test_descending_order_is_the_stable_argsort(values, copies):
     assert got.tolist() == np.argsort(-scores, kind="stable").tolist()
 
 
-def test_descending_order_breaks_ties_of_signed_zeros_by_index():
-    scores = np.array([0.0, -0.0, 1.0] * 40 + [-0.0, 0.0] * 40)
-    expected = np.argsort(-scores, kind="stable")
-    assert pruner.descending_order(scores).tolist() == expected.tolist()
-
-
-def test_descending_order_keeps_nans_in_index_order():
+def test_descending_order_on_signed_zeros_and_nans():
+    zeros = np.array([0.0, -0.0, 1.0] * 40 + [-0.0, 0.0] * 40)
     # no two finite scores are equal, so only the NaNs can reorder
-    scores = CounterRng(14).normal_matrix(1, 3000)[0]
-    scores[::3] = np.nan
-    expected = np.argsort(-scores, kind="stable")
-    assert pruner.descending_order(scores).tolist() == expected.tolist()
-    assert pruner.descending_order(np.full(2000, np.nan)).tolist() == list(range(2000))
+    nans = CounterRng(14).normal_matrix(1, 3000)[0]
+    nans[::3] = np.nan
+    for scores in (zeros, nans, np.full(2000, np.nan)):
+        expected = np.argsort(-scores, kind="stable")
+        assert pruner.descending_order(scores).tolist() == expected.tolist()
 
 
 @pytest.fixture(scope="module")
@@ -218,13 +213,12 @@ def packed_and_scores():
     distilled = _random_embeddings(40, seed=12)
     distilled["vid_99999"] = distilled["vid_00003"].copy()  # a tie broken by id
     query = CounterRng(13).unit_vectors(1, 6)[0]
-    return distilled, pruner.prune_candidates(query, pruner.PackedEmbeddings.pack(distilled),
-                                              25.0)
+    packed = pruner.PackedEmbeddings.pack(distilled)
+    return distilled, query, pruner.prune_candidates(query, packed, 25.0)
 
 
 def test_every_score_equals_the_dict_of_the_full_ranking(packed_and_scores):
-    distilled, cs = packed_and_scores
-    query = CounterRng(13).unit_vectors(1, 6)[0]
+    distilled, query, cs = packed_and_scores
     full = pruner.prune_candidates(query, distilled, 100.0)
     old = dict(zip(full.video_ids, full.coarse_scores.tolist()))
     view = cs.every_score
@@ -236,7 +230,7 @@ def test_every_score_equals_the_dict_of_the_full_ranking(packed_and_scores):
 
 
 def test_every_score_is_read_only_and_refuses_unknown_ids(packed_and_scores):
-    _, cs = packed_and_scores
+    _, _, cs = packed_and_scores
     view = cs.every_score
     first = next(iter(view))
     with pytest.raises(TypeError):
