@@ -159,10 +159,6 @@ class Tensor:
 
 # -- dispatch helpers ----------------------------------------------------
 
-def is_tensor(x) -> bool:
-    return isinstance(x, Tensor)
-
-
 def value(x):
     """Underlying ndarray of x (identity for plain arrays)."""
     return x.data if isinstance(x, Tensor) else np.asarray(x)

@@ -378,8 +378,8 @@ def validate_corpus(bundle: CorpusBundle) -> ValidationReport:
         if v.id in seen_vids:
             add(f"duplicate video id {v.id}")
         seen_vids.add(v.id)
-        if v.duration_s < 0:
-            add(f"video {v.id}: negative duration")
+        if not np.isfinite(v.duration_s) or v.duration_s < 0:
+            add(f"video {v.id}: duration {v.duration_s} is negative or not finite")
         n_raw = v.raw_frames.shape[0]
         n_clip = v.clip_frames.shape[0]
         if n_raw < 1:

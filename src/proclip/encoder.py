@@ -5,8 +5,6 @@ duration-dependent self-attention stack (3 layers for short videos,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn
@@ -16,12 +14,6 @@ from .rng import CounterRng
 SHORT_DEPTH = 3
 LONG_DEPTH = 5
 DURATION_THRESHOLD_S = 60.0
-
-
-@dataclass
-class FrameContextMatrix:
-    rows: object            # [C x] N x D (ndarray or Tensor)
-    layers_applied: int = 0
 
 
 def init_encoder_params(rng: CounterRng, d_v: int, d: int) -> dict:
@@ -57,20 +49,16 @@ def add_positional(x):
 
 
 def depth_for_duration(duration_s: float) -> int:
-    if duration_s < 0:
-        raise ValueError("duration must be nonnegative")
+    if not duration_s >= 0:  # NaN compares false
+        raise ValueError(f"duration must be nonnegative, got {duration_s}")
     return SHORT_DEPTH if duration_s <= DURATION_THRESHOLD_S else LONG_DEPTH
 
 
-def encode_temporal(x, duration_s: float, params) -> FrameContextMatrix:
+def encode_video(raw, duration_s: float, params):
+    """Projection, positions and temporal stack: raw [C x] N x D_v frames of C
+    videos of one frame count and depth (from `duration_s`) -> [C x] N x D."""
+    x = add_positional(project_frames(raw, params))
     depth = depth_for_duration(duration_s)
     for layer in params["layers"][:depth]:
         x = nn.encoder_block(x, layer)
-    return FrameContextMatrix(rows=x, layers_applied=depth)
-
-
-def encode_video(raw, duration_s: float, params) -> FrameContextMatrix:
-    """Full path: projection + positions + temporal stack.  raw is [C x] N x D_v:
-    C videos of one frame count, each of the depth `duration_s` implies."""
-    x = add_positional(project_frames(raw, params))
-    return encode_temporal(x, duration_s, params)
+    return x

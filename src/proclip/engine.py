@@ -102,7 +102,7 @@ def encoded_blocks(videos, encoder_params):
     encoder depth, one batched encoder pass each."""
     for block in frame_blocks(videos, lambda v: depth_for_duration(v.duration_s)):
         raw = np.stack([v.raw_frames for v in block]).astype(np.float64)
-        yield block, encode_video(raw, block[0].duration_s, encoder_params).rows
+        yield block, encode_video(raw, block[0].duration_s, encoder_params)
 
 
 def index_corpus(corpus: CorpusBundle, model: ModelParams) -> RetrievalIndex:

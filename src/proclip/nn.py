@@ -42,74 +42,45 @@ def layer_norm(x, gain, bias, eps=LN_EPS):
     return (x - m) / sqrt(v + eps) * gain + bias
 
 
-def single_head_attention(x, p, return_weights=False):
-    """Scaled dot-product self-attention with per-head projections.
+def attention(x, p, heads=1, return_weights=False):
+    """Scaled dot-product self-attention, all heads in one batched product.
 
-    x: [C x] N x D.  Returns the same shape (and the [C x] N x N weights on
-    request); leading axes are independent batch items.
-    """
-    d = value(x).shape[-1]
+    x: [C x] N x D.  Returns the same shape (and, on request, the weights:
+    [C x] N x N for one head, [C x] heads x N x N for more); leading axes
+    are independent batch items.  One head skips the split and merge, which
+    are the identity there."""
+    shape = value(x).shape
+    if shape[-1] % heads != 0:
+        raise ValueError("head count %d does not divide width %d" % (heads, shape[-1]))
+    hd = shape[-1] // heads
     q = affine(x, p["wq"], p["bq"])
     k = x @ p["wk"]  # no key bias: softmax rows are shift-invariant
     v = affine(x, p["wv"], p["bv"])
-    a = softmax((q @ transpose(k)) * (1.0 / np.sqrt(d)), axis=-1)
-    out = affine(a @ v, p["wo"], p["bo"])
-    if return_weights:
-        return out, a
-    return out
-
-
-def feed_forward(x, p):
-    return affine(relu(affine(x, p["ff_w1"], p["ff_b1"])), p["ff_w2"], p["ff_b2"])
-
-
-def encoder_block(x, p, return_weights=False):
-    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.))."""
-    h = layer_norm(x, p["ln1_g"], p["ln1_b"])
-    if return_weights:
-        att, weights = single_head_attention(h, p, return_weights=True)
-    else:
-        att = single_head_attention(h, p)
-    y = x + att
-    z = y + feed_forward(layer_norm(y, p["ln2_g"], p["ln2_b"]), p)
-    if return_weights:
-        return z, weights
-    return z
-
-
-def multi_head_attention(x, p, heads, return_weights=False):
-    """Multi-head variant used by the distillation encoder, all heads in one
-    batched product.  x: [C x] N x D; weights on request: [C x] heads x N x N."""
-    d = value(x).shape[-1]
-    if d % heads != 0:
-        raise ValueError("head count %d does not divide width %d" % (heads, d))
-    hd = d // heads
-
-    def split(t):  # [C x] N x D -> [C x] heads x N x hd
-        return transpose(reshape(t, value(t).shape[:-1] + (heads, hd)), -2, -3)
-
-    q = split(affine(x, p["wq"], p["bq"]))
-    k = split(x @ p["wk"])
-    v = split(affine(x, p["wv"], p["bv"]))
+    if heads > 1:  # [C x] N x D -> [C x] heads x N x hd
+        q, k, v = (transpose(reshape(t, shape[:-1] + (heads, hd)), -2, -3) for t in (q, k, v))
     a = softmax((q @ transpose(k)) * (1.0 / np.sqrt(hd)), axis=-1)
-    out = affine(reshape(transpose(a @ v, -2, -3), value(x).shape), p["wo"], p["bo"])
-    if return_weights:
-        return out, a
-    return out
+    out = a @ v
+    if heads > 1:
+        out = reshape(transpose(out, -2, -3), shape)
+    out = affine(out, p["wo"], p["bo"])
+    return (out, a) if return_weights else out
 
 
-def multi_head_block(x, p, heads, return_weights=False):
-    """Pre-norm residual block with multi-head attention."""
-    h = layer_norm(x, p["ln1_g"], p["ln1_b"])
-    if return_weights:
-        att, weights = multi_head_attention(h, p, heads, return_weights=True)
-    else:
-        att = multi_head_attention(h, p, heads)
-    y = x + att
-    z = y + feed_forward(layer_norm(y, p["ln2_g"], p["ln2_b"]), p)
-    if return_weights:
-        return z, weights
-    return z
+def _block(x, p, heads):
+    """Pre-norm residual block: x + Attn(LN(x)), then + FFN(LN(.))."""
+    y = x + attention(layer_norm(x, p["ln1_g"], p["ln1_b"]), p, heads)
+    return y + mlp2(layer_norm(y, p["ln2_g"], p["ln2_b"]),
+                    p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"])
+
+
+def encoder_block(x, p):
+    """The temporal encoder's block: one attention head."""
+    return _block(x, p, 1)
+
+
+def multi_head_block(x, p, heads):
+    """The distill encoder's block: `heads` attention heads."""
+    return _block(x, p, heads)
 
 
 def mlp2(x, w1, b1, w2, b2):

@@ -8,13 +8,13 @@ video-feature space; queries keep the top k% of videos by cosine score.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .autodiff import mean, value
+from .autodiff import asum, mean, value
 from .encoder import add_positional
 from .rng import CounterRng
 
@@ -58,7 +58,6 @@ def mse_distill_loss(student, teacher):
     sv, tv = value(student), value(teacher)
     if sv.shape != tv.shape:
         raise ValueError("student/teacher shape mismatch")
-    from .autodiff import asum
     sq = asum((student - teacher) ** 2)
     if sv.ndim == 2:
         return sq * (1.0 / sv.shape[0])
@@ -105,6 +104,23 @@ class CoarseScores(Mapping):
 
     def __len__(self) -> int:
         return len(self._order)
+
+    # Mapping's views, iterated through one gather rather than a lookup per id
+    def values(self):
+        return _RankedValues(self)
+
+    def items(self):
+        return _RankedItems(self)
+
+
+class _RankedValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._scores[self._mapping._order].tolist())
+
+
+class _RankedItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, _RankedValues(self._mapping))
 
 
 def descending_order(scores: np.ndarray) -> np.ndarray:

@@ -27,11 +27,6 @@ class SelectedFrames:
     alpha: np.ndarray     # ... x K positive weights, sum 1
 
 
-@dataclass
-class SoftSelection:
-    weights: object       # ... x K x N row-stochastic (ndarray or Tensor)
-
-
 def init_scorer_params(rng: CounterRng, d: int, hidden: int) -> dict:
     return {
         "f_w1": nn.init_matrix(rng, d, d, hidden),
@@ -74,9 +69,9 @@ def topk_infer(scores: np.ndarray, k: int) -> SelectedFrames:
     return SelectedFrames(indices=indices, alpha=alpha)
 
 
-def hard_topk_train(scores, k: int, temperature: float) -> SoftSelection:
+def hard_topk_train(scores, k: int, temperature: float):
     """Differentiable relaxed top-k over the last axis: [... x] N scores give
-    [... x] K x N weights.
+    [... x] K x N row-stochastic weights (an ndarray or a Tensor).
 
     Row r is softmax((scores + mask_r) / tau) where mask_r carries a large
     negative constant at every previously claimed argmax.  The mask is
@@ -96,7 +91,7 @@ def hard_topk_train(scores, k: int, temperature: float) -> SoftSelection:
         rows.append(reshape(row, shape[:-1] + (1, n)))
         mask = mask.copy()
         np.put_along_axis(mask, np.argmax(detach(row), axis=-1)[..., None], -SUPPRESS, axis=-1)
-    return SoftSelection(weights=concat(rows, axis=-2))
+    return concat(rows, axis=-2)
 
 
 def select_frames(scores, clips, k: int, tau: float | None = None):
@@ -109,7 +104,7 @@ def select_frames(scores, clips, k: int, tau: float | None = None):
                   # gather, then cast: casting first would copy every clip frame of a block
                   np.take_along_axis(clips, sel.indices[..., None], axis=-2))
         return picked.astype(np.float64), sel.alpha
-    weights = hard_topk_train(scores, k, tau).weights
+    weights = hard_topk_train(scores, k, tau)
     lead = value(scores).shape[:-1]
     mixed = reshape(weights @ reshape(scores, lead + (-1, 1)), lead + (k,))
     return weights @ np.asarray(clips, dtype=np.float64), softmax(mixed, axis=-1)

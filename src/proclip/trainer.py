@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import aggregator, engine, prompt, pruner, sampler
+from . import aggregator, engine, nn, prompt, pruner, sampler
 from .autodiff import Tensor, asum, concat, exp, log_softmax, mean, reshape, softmax, value
 from .corpus import CorpusBundle
 # stage 1 encodes through engine.encoded_blocks; the name stays importable
@@ -243,8 +243,6 @@ def _fd_scalar(forward, params_flat: dict, name: str, idx, eps: float) -> float:
 
 def _block_spec(block_id: str, seed: int):
     """Returns (param_tree, forward(tree) -> scalar) for a registered block."""
-    from . import nn
-    from .encoder import init_encoder_params  # noqa: F401  (registry below)
     rng = CounterRng(seed)
 
     if block_id == "encoder_layer":

@@ -135,7 +135,7 @@ def test_criterion_04_selection_limit_oracle():
             sel = sampler.topk_infer(scores, k)
             assert sel.indices.tolist() == expected
             soft = sampler.hard_topk_train(scores, k, 1e-4)
-            picks = np.argmax(np.asarray(soft.weights), axis=1)
+            picks = np.argmax(np.asarray(soft), axis=1)
             assert sorted(picks.tolist()) == expected
         assert time.perf_counter() - t0 < 10.0
 
@@ -312,8 +312,7 @@ def test_criterion_10_attention_invariants():
             assert abs(np.sum(sent_scores) - 1.0) < 1e-5
 
             layer = nn.init_attention_layer(rng, d, 2 * d)
-            _, weights = nn.single_head_attention(frames, layer,
-                                                  return_weights=True)
+            _, weights = nn.attention(frames, layer, return_weights=True)
             assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-5)
 
             agg = init_aggregator_params(rng, d)

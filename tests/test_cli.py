@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import proclip
 from proclip import engine
 from proclip.cli import run_cli
 from proclip.corpus import read_corpus, write_corpus
@@ -54,6 +58,18 @@ def test_help_exits_zero(capsys):
 def test_unknown_flag_exits_two(capsys):
     assert run_cli(["synth", "--bogus"]) == 2
     capsys.readouterr()
+
+
+def test_python_dash_m_proclip_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(proclip.__file__))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "proclip", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+    bad = run("synth", "--bogus")
+    assert bad.returncode == 2 and "proclip synth: error" in bad.stderr
+    helped = run("--help")
+    assert helped.returncode == 0 and "validate" in helped.stdout
 
 
 def test_missing_file_exits_three(tmp_path, capsys):
@@ -290,6 +306,16 @@ def test_entry_points_reject_an_invalid_corpus(tmp_path, capsys, cut, violation)
         assert run_cli(argv) == 4
         err = capsys.readouterr().err
         assert "code=invalid-corpus" in err and violation in err
+
+
+def test_validate_refuses_a_nan_duration(tmp_path, capsys):
+    path = _synth(tmp_path)
+    bundle = read_corpus(str(path))
+    bundle.videos[3].duration_s = float("nan")
+    write_corpus(bundle, str(path))
+    assert run_cli(["validate", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert "vid_00003: duration nan" in out and "code=invalid-corpus" in err
 
 
 @pytest.mark.parametrize("command,flag,value", [

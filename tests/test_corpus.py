@@ -152,6 +152,14 @@ def test_validate_flags_dangling_ground_truth():
     assert any("vid_99999" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_validate_flags_a_bad_duration_once(duration):
+    bundle = synth_corpus(_tiny_spec())
+    bundle.videos[1].duration_s = duration
+    (violation,) = validate_corpus(bundle).violations
+    assert bundle.videos[1].id in violation and "duration" in violation
+
+
 def test_validate_flags_shape_problems():
     bundle = synth_corpus(_tiny_spec())
     bundle.videos[0].raw_frames = bundle.videos[0].raw_frames[:, :-1]

@@ -69,8 +69,7 @@ def test_positional_handles_odd_width():
 def test_single_frame_attention_weight_is_one():
     rng = CounterRng(5)
     layer = nn.init_attention_layer(rng, 4, 8)
-    _, weights = nn.single_head_attention(rng.normal_matrix(1, 4), layer,
-                                          return_weights=True)
+    _, weights = nn.attention(rng.normal_matrix(1, 4), layer, return_weights=True)
     assert np.array_equal(weights, [[1.0]])
 
 
@@ -78,7 +77,7 @@ def test_identical_rows_give_uniform_attention():
     rng = CounterRng(6)
     layer = nn.init_attention_layer(rng, 4, 8)
     x = np.tile(rng.normal(4), (5, 1))
-    _, weights = nn.single_head_attention(x, layer, return_weights=True)
+    _, weights = nn.attention(x, layer, return_weights=True)
     assert np.allclose(weights, 1.0 / 5.0, atol=1e-6)
 
 
@@ -119,15 +118,25 @@ def test_depth_rejects_negative_duration():
         encoder.depth_for_duration(-1.0)
 
 
-def test_encode_video_reports_layers_applied():
+@pytest.mark.parametrize("duration", [float("nan"), -float("inf"), -1e-300])
+def test_depth_rejects_a_duration_that_is_not_nonnegative(duration):
+    with pytest.raises(ValueError):
+        encoder.depth_for_duration(duration)
+
+
+def test_encode_video_depth_follows_duration():
     rng = CounterRng(8)
     params = encoder.init_encoder_params(rng, 3, 6)
     raw = rng.normal_matrix(4, 3)
     short = encoder.encode_video(raw, 30.0, params)
     long = encoder.encode_video(raw, 90.0, params)
-    assert short.layers_applied == 3 and long.layers_applied == 5
-    assert short.rows.shape == (4, 6)
-    assert not np.allclose(short.rows, long.rows)
+    for rows, depth in ((short, 3), (long, 5)):  # the layers applied, one by one
+        x = encoder.add_positional(encoder.project_frames(raw, params))
+        for layer in params["layers"][:depth]:
+            x = nn.encoder_block(x, layer)
+        assert rows.tobytes() == x.tobytes()
+    assert short.shape == (4, 6)
+    assert not np.allclose(short, long)
 
 
 @pytest.mark.parametrize("duration", [30.0, 75.0])
@@ -136,10 +145,10 @@ def test_encode_video_batch_equals_rows(duration):
     params = encoder.init_encoder_params(rng, 6, 8)
     raw = rng.normal(3 * 10 * 6).reshape(3, 10, 6)
     batch = encoder.encode_video(raw, duration, params)
-    assert batch.rows.shape == (3, 10, 8)
+    assert batch.shape == (3, 10, 8)
     for c in range(3):  # each item alone, bit for bit
-        rows = encoder.encode_video(raw[c], duration, params).rows
-        assert rows.tobytes() == batch.rows[c].tobytes()
+        rows = encoder.encode_video(raw[c], duration, params)
+        assert rows.tobytes() == batch[c].tobytes()
 
 
 def test_long_video_stack_extends_the_short_one():
@@ -148,17 +157,17 @@ def test_long_video_stack_extends_the_short_one():
     rng = CounterRng(9)
     params = encoder.init_encoder_params(rng, 3, 6)
     raw = rng.normal_matrix(5, 3)
-    short = encoder.encode_video(raw, 10.0, params).rows
+    short = encoder.encode_video(raw, 10.0, params)
     resumed = short
     for layer in params["layers"][3:5]:
         resumed = nn.encoder_block(resumed, layer)
-    assert np.allclose(resumed, encoder.encode_video(raw, 100.0, params).rows)
+    assert np.allclose(resumed, encoder.encode_video(raw, 100.0, params))
 
 
 def test_encoding_is_deterministic():
     rng = CounterRng(10)
     params = encoder.init_encoder_params(rng, 4, 8)
     raw = rng.normal_matrix(6, 4)
-    a = encoder.encode_video(raw, 20.0, params).rows
-    b = encoder.encode_video(raw, 20.0, params).rows
+    a = encoder.encode_video(raw, 20.0, params)
+    b = encoder.encode_video(raw, 20.0, params)
     assert np.array_equal(a, b)

@@ -76,7 +76,7 @@ def test_blocked_index_build_equals_per_video_loop(strata_corpus, block_rows, mo
     index = engine.index_corpus(strata_corpus, model)
     for v in videos:
         ctx = encode_video(v.raw_frames.astype(np.float64), v.duration_s,
-                           model.encoder).rows.astype(np.float32)
+                           model.encoder).astype(np.float32)
         phi = pruner.distill_forward(ctx.astype(np.float64), model.distill).astype(np.float32)
         assert index.contexts[v.id].tobytes() == ctx.tobytes()
         assert index.distilled[v.id].tobytes() == phi.tobytes()

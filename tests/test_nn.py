@@ -62,3 +62,45 @@ def test_a_tensor_operand_takes_the_autodiff_path(tensor_arg):
     ln_args = [x, np.ones(5), np.zeros(5)]
     ln_args[tensor_arg] = Tensor(ln_args[tensor_arg])
     assert isinstance(nn.layer_norm(*ln_args), Tensor)
+
+
+def _one_head(x, p, cols):
+    """Plain single-head attention over one column slice of q, k and v,
+    scaled by that slice's width; returns the head output and weights."""
+    q = (x @ p["wq"] + p["bq"])[..., cols]
+    k = (x @ p["wk"])[..., cols]
+    v = (x @ p["wv"] + p["bv"])[..., cols]
+    logits = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
+    a = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    a /= a.sum(axis=-1, keepdims=True)
+    return a @ v, a
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+@pytest.mark.parametrize("shape", [(5, 16), (3, 5, 16)])
+def test_attention_is_its_heads_concatenated(shape, heads):
+    rng = CounterRng(34)
+    p = nn.init_attention_layer(rng, shape[-1], 8)
+    x = rng.normal(int(np.prod(shape))).reshape(shape)
+    hd = shape[-1] // heads
+    outs, weights = zip(*(_one_head(x, p, slice(h * hd, (h + 1) * hd))
+                          for h in range(heads)))
+    expected = np.concatenate(outs, axis=-1) @ p["wo"] + p["bo"]
+    got, a = nn.attention(x, p, heads, return_weights=True)
+    assert got.shape == shape and np.max(np.abs(got - expected)) <= 1e-12
+    if heads == 1:  # no head axis
+        assert a.shape == shape[:-1] + shape[-2:-1]
+        assert np.max(np.abs(a - weights[0])) <= 1e-12
+    else:
+        assert np.max(np.abs(a - np.stack(weights, axis=-3))) <= 1e-12
+    assert got.tobytes() == nn.attention(x, p, heads).tobytes()
+
+
+@pytest.mark.parametrize("heads", [3, 5, 32])
+def test_a_head_count_that_does_not_divide_the_width_raises(heads):
+    rng = CounterRng(35)
+    p = nn.init_attention_layer(rng, 16, 8)
+    with pytest.raises(ValueError, match="does not divide"):
+        nn.attention(rng.normal_matrix(4, 16), p, heads)
+    with pytest.raises(ValueError, match="does not divide"):
+        nn.multi_head_block(rng.normal_matrix(4, 16), p, heads)

@@ -1,4 +1,5 @@
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ def test_distill_pipeline_determinism():
     model = init_model_params(0, 5, 8)
     rng = CounterRng(7)
     raw = rng.normal_matrix(6, 5)
-    ctx = encode_video(raw, 30.0, model.encoder).rows
+    ctx = encode_video(raw, 30.0, model.encoder)
     a = pruner.distill_forward(ctx, model.distill)
     b = pruner.distill_forward(ctx, model.distill)
     assert np.array_equal(a, b)
@@ -226,6 +227,12 @@ def test_every_score_equals_the_dict_of_the_full_ranking(packed_and_scores):
     assert list(view) == full.video_ids and len(view) == len(distilled)
     assert list(view.items()) == list(old.items())
     assert all(type(v) is float for v in view.values())
+    # the gathered views agree with Mapping's per-key ones, and stay views
+    assert list(view.values()) == list(Mapping.values(view)) == [view[k] for k in view]
+    assert list(view.items()) == list(Mapping.items(view))
+    assert view.items() == old.items() and len(view.values()) == len(old)
+    assert all(type(k) is str and type(v) is float for k, v in view.items())
+    assert (full.video_ids[-1], old[full.video_ids[-1]]) in view.items()
     assert cs.video_ids == full.video_ids[:len(cs.video_ids)]
 
 

@@ -136,7 +136,7 @@ def test_topk_rejects_bad_k():
 def test_hard_topk_cold_limit_matches_exact_selection():
     scores = np.array([0.1, 0.9, 0.5])
     soft = sampler.hard_topk_train(scores, 2, 1e-4)
-    w = np.asarray(soft.weights)
+    w = np.asarray(soft)
     assert np.allclose(w[0], [0, 1, 0], atol=1e-6)
     assert np.allclose(w[1], [0, 0, 1], atol=1e-6)
     assert sorted(np.argmax(w, axis=1)) == sampler.topk_infer(scores, 2).indices.tolist()
@@ -144,7 +144,7 @@ def test_hard_topk_cold_limit_matches_exact_selection():
 
 def test_hard_topk_hot_limit_is_uniform():
     soft = sampler.hard_topk_train(np.array([0.3, -0.2, 0.8]), 1, 1e4)
-    assert np.allclose(np.asarray(soft.weights)[0], 1.0 / 3.0, atol=1e-3)
+    assert np.allclose(np.asarray(soft)[0], 1.0 / 3.0, atol=1e-3)
 
 
 def test_hard_topk_validates_inputs():
@@ -161,10 +161,10 @@ def test_hard_topk_batch_matches_row_by_row():
                      [0.7, -1.0, 0.7, 0.2, 0.7, 0.2]])
     for scores in (tied, np.round(rng.normal(2 * 3 * 6), 1).reshape(2, 3, 6)):
         for k, tau in ((1, 1e-4), (3, 0.5), (6, 2.0)):
-            batch = np.asarray(sampler.hard_topk_train(scores, k, tau).weights)
+            batch = np.asarray(sampler.hard_topk_train(scores, k, tau))
             assert batch.shape == scores.shape[:-1] + (k, 6)
             for idx in np.ndindex(scores.shape[:-1]):
-                one = np.asarray(sampler.hard_topk_train(scores[idx], k, tau).weights)
+                one = np.asarray(sampler.hard_topk_train(scores[idx], k, tau))
                 assert batch[idx].tobytes() == one.tobytes()
 
 
@@ -172,7 +172,7 @@ def test_hard_topk_batch_gradient():
     rng = CounterRng(14)
     scores = rng.normal_matrix(3, 5)
     w = rng.normal(3 * 4 * 5).reshape(3, 4, 5)
-    check_grad(lambda s: ad.asum(sampler.hard_topk_train(s, 4, 0.7).weights * w),
+    check_grad(lambda s: ad.asum(sampler.hard_topk_train(s, 4, 0.7) * w),
                scores, tol=1e-6)
 
 
@@ -192,7 +192,7 @@ def test_relaxed_rows_are_distributions_with_distinct_argmaxes(n, seed, tau, dat
     k = data.draw(st.integers(1, n))
     scores = CounterRng(seed).normal(n)
     soft = sampler.hard_topk_train(scores, k, tau)
-    w = np.asarray(soft.weights)
+    w = np.asarray(soft)
     assert w.shape == (k, n)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-5)
     argmaxes = np.argmax(w, axis=1)

@@ -181,7 +181,7 @@ def test_batch_similarity_matrix_equals_the_pair_loop(mixed_corpus):
     rows = []
     for q_video in batch:
         v = videos[q_video.ground_truth_video]
-        ctx = encode_video(v.raw_frames.astype(np.float64), v.duration_s, view.encoder).rows
+        ctx = encode_video(v.raw_frames.astype(np.float64), v.duration_s, view.encoder)
         rows.append(concat([reshape(engine.fine_similarity(
             q.words.astype(np.float64), q.sentence.astype(np.float64), ctx,
             v.clip_frames, view, k_frames, tau), (1, 1)) for q in batch], axis=-1))
