@@ -66,6 +66,7 @@ def test_python_dash_m_proclip_runs_the_cli():
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "proclip", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
+
     bad = run("synth", "--bogus")
     assert bad.returncode == 2 and "proclip synth: error" in bad.stderr
     helped = run("--help")
